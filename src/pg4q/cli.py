@@ -33,6 +33,7 @@ from .families import (
     Report,
     Verdict,
     characterize,
+    check_condition_I,
     solid_spectrum,
     verify_hyperbolic_spectra,
 )
@@ -202,7 +203,7 @@ def cmd_verify_lemma1(args) -> int:
         modulus=geom.field.modulus,
         family_size=len(fam),
         h=Fraction(len(fam), q * q // 2),
-        colors=_colors_from_counts(geom, fam),
+        colors=check_condition_I(geom, fam),
         partition={"h": len(fam), "e": len(classes.elliptic), "t": len(classes.tangent)},
         spectra={**spectra, "solids": solid_spectrum(geom, zero_set(geom, form))},
         identities=(),
@@ -211,12 +212,6 @@ def cmd_verify_lemma1(args) -> int:
     )
     _emit(report_json(report), args.json)
     return 0
-
-
-def _colors_from_counts(geom, fam):
-    from .families import check_condition_I
-
-    return check_condition_I(geom, fam)
 
 
 def cmd_characterize(args) -> int:
@@ -257,7 +252,7 @@ def cmd_export(args) -> int:
             )
         else:
             classes = classify_all_solids(geom, form)
-            fam = getattr(classes, {"tangent": "tangent"}.get(args.what, args.what))
+            fam = getattr(classes, args.what)
             records = [geom.solids[i] for i in fam]
             write_family_file(args.out, geom.field, "solids", records)
     except OSError as exc:
@@ -337,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-lemma1", help="check the hyperbolic incidence spectra")
-    p.add_argument("--q", type=int, required=True, choices=SUPPORTED_Q)
+    # q=16 is refused: its 17,965,585-row line and plane tables exhaust memory
+    p.add_argument("--q", type=int, required=True, choices=(2, 4, 8))
     p.add_argument("--modulus", type=int, default=None)
     p.add_argument("--json", default=None, help="write the report here instead of stdout")
     p.set_defaults(func=cmd_verify_lemma1)
@@ -383,6 +379,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InconsistencyError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,9 +25,23 @@ which is deterministic but unsorted.  Use it when only a multiset of
 per-subspace results is needed and materialising the sorted table would
 be wasteful (q=16 has ~1.8e7 planes).
 
+Incidence counts
+----------------
+For a point set K let F(c) = sum_y (-1)^Tr(c.y), y over the nonzero
+multiples of the points of K, Tr(z) = z + z^2 + ... + z^(q/2).  Since
+sum_{t in GF(q)} (-1)^Tr(t*a) = q*[a = 0], every covector c has
+q * #{x in K : c.x = 0} = |K| + F(c), and a value that q does not
+divide raises InconsistencyError.  F is the multiples' 0/1 indicator
+transformed along each of the 5 coordinates by the q x q table
+chi[a, b] = (-1)^Tr(ab): 5q^6 multiply-adds (84M at q=16) instead of a
+points x solids table of dot products.  The dot product is symmetric,
+so one transform counts both the points of K in each solid and the
+solids of K through each point.
+
 All Geometry state is immutable once built; derived tables (subspace
-tables, incidence masks) are computed lazily but are pure functions of
-the field, so repeated or concurrent builds are harmless.
+tables, incidence masks, the character table) are computed lazily but
+are pure functions of the field, so repeated or concurrent builds are
+harmless.
 """
 
 from __future__ import annotations
@@ -326,6 +340,9 @@ class Geometry:
             sum(q ** (4 - jj) for jj in range(j + 1, 5)) for j in range(5)
         )
         self._solid_masks: list[int] | None = None
+        self._weights = q ** np.arange(4, -1, -1, dtype=np.int64)
+        self._chi: np.ndarray | None = None
+        self._codes: np.ndarray | None = None
         self._tables: dict[int, SubspaceTable] = {}
         self._subspace_lists: dict[int, tuple] = {}
         self._pencils: np.ndarray | None = None
@@ -346,14 +363,10 @@ class Geometry:
 
     # -- index arithmetic ----------------------------------------------
 
-    def point_rank(self, p) -> int:
-        return self.point_index[tuple(p)]
-
     def _ranks(self, arr: np.ndarray) -> np.ndarray:
         """Vectorised index of canonical vectors, shape arr.shape[:-1]."""
         q = self.field.q
-        w = np.array([q**4, q**3, q**2, q, 1], dtype=np.int64)
-        s = arr.astype(np.int64) @ w
+        s = arr.astype(np.int64) @ self._weights
         j = np.argmax(arr != 0, axis=-1)
         offs = np.array(self._offsets, dtype=np.int64)
         return offs[j] + s - np.power(q, 4 - j)
@@ -368,24 +381,41 @@ class Geometry:
             acc = acc ^ mt[pts[:, i, None], covs[None, :, i]]
         return acc
 
-    def incidence_counts_per_point(self, solid_indices) -> np.ndarray:
-        """For each point, how many of the given solids contain it."""
-        idx = np.asarray(list(solid_indices), dtype=np.int64)
-        out = np.zeros(self.n, dtype=np.int64)
-        for lo in range(0, len(idx), 2048):
-            block = self.point_array[idx[lo : lo + 2048]]
-            out += (self._dots(self.point_array, block) == 0).sum(axis=1)
-        return out
+    def _characters(self):
+        """chi[a, b] = (-1)^Tr(ab) as int32 and the base-q point codes, built on first use."""
+        if self._chi is None:
+            mt = self.field.mul_table
+            tr = z = np.arange(self.field.q)
+            for _ in range(self.field.e - 1):
+                z = mt[z, z]
+                tr = tr ^ z
+            self._chi = (1 - 2 * tr[mt]).astype(np.int32)
+            self._codes = self.point_array.astype(np.int64) @ self._weights
+        return self._chi, self._codes
 
     def incidence_counts_per_solid(self, point_indices) -> np.ndarray:
-        """For each solid, how many of the given points it contains."""
+        """
+        For each solid, how many of the given points it contains, with
+        multiplicity.  By duality the same call gives, for each point,
+        how many of the given solids contain it; see "Incidence counts".
+        """
+        q = self.field.q
+        mt = self.field.mul_table
+        chi, codes = self._characters()
         idx = np.asarray(list(point_indices), dtype=np.int64)
         pts = self.point_array[idx]
-        out = np.zeros(self.n, dtype=np.int64)
-        for lo in range(0, self.n, 2048):
-            block = self.point_array[lo : lo + 2048]
-            out[lo : lo + block.shape[0]] = (self._dots(pts, block) == 0).sum(axis=0)
-        return out
+        f = np.zeros(q**5, dtype=np.int32)
+        for t in range(1, q):
+            np.add.at(f, mt[pts, t].astype(np.int64) @ self._weights, 1)
+        for a in range(5):
+            f = np.matmul(chi, f.reshape(q**a, q, q ** (4 - a)))
+        num = len(idx) + f.reshape(-1)[codes]
+        bad = np.flatnonzero(num % q)
+        if len(bad):
+            raise InconsistencyError(f"character sum at covector {bad[0]} is not divisible by q")
+        return (num // q).astype(np.int64)
+
+    incidence_counts_per_point = incidence_counts_per_solid
 
     def point_in_solid(self, point_idx: int, solid_idx: int) -> bool:
         return dot(self.field, self.points[point_idx], self.points[solid_idx]) == 0

@@ -29,7 +29,6 @@ from .pg import (
     Geometry,
     InconsistencyError,
     Solid,
-    mask_from_indices,
     null_space,
     projective_span_points,
     rref,
@@ -192,8 +191,7 @@ def section_type(geom: Geometry, form: QuadraticForm, solid) -> Section:
         sidx = solid
     else:
         sidx = geom.solid_index[tuple(solid)]
-    zmask = mask_from_indices(zero_set(geom, form))
-    size = (zmask & geom.solid_masks[sidx]).bit_count()
+    size = sum(geom.point_in_solid(p, sidx) for p in zero_set(geom, form))
     kind = _kind_of_size(geom.field.q, size)
     try:
         n_idx = geom.point_index[nucleus(form)]

@@ -31,7 +31,7 @@ from random import Random
 import numpy as np
 
 from .families import fit_quadratic_form
-from .pg import Geometry, InconsistencyError, mask_from_indices, normalize
+from .pg import Geometry, InconsistencyError, normalize
 from .quadric import QuadraticForm, nucleus, zero_set
 
 __all__ = [
@@ -91,16 +91,12 @@ def is_quasi_quadric(geom: Geometry, cand: QuasiCandidate):
         hits = sum(1 for p in line if p in pts)
         if hits != 1:
             return False, ("line", line, hits)
-    kmask = mask_from_indices(pts)
-    sm = geom.solid_masks
-    good = (q * q + 1, (q + 1) ** 2)
-    on_n = set(int(s) for s in geom.solids_through_point(n_idx))
-    for s in range(geom.n):
-        if s in on_n:
-            continue
-        size = (kmask & sm[s]).bit_count()
-        if size not in good:
-            return False, ("solid", s, size)
+    sizes = geom.incidence_counts_per_solid(pts)
+    bad = (sizes != q * q + 1) & (sizes != (q + 1) ** 2)
+    bad[geom.solids_through_point(n_idx)] = False
+    if bad.any():
+        s = int(np.argmax(bad))
+        return False, ("solid", s, int(sizes[s]))
     return True, None
 
 
@@ -158,13 +154,12 @@ def switch(geom: Geometry, form: QuadraticForm, tangent, replacement) -> QuasiCa
         t_idx = geom.solid_index[tuple(tangent)]
     if not geom.point_in_solid(n_idx, t_idx):
         raise ValueError("the chosen solid does not contain the nucleus")
-    tmask = geom.solid_masks[t_idx]
     repl = {int(i) for i in replacement}
     if n_idx in repl:
         raise ValueError("replacement must not contain the nucleus")
-    if any(not (tmask >> i) & 1 for i in repl):
+    if any(not (0 <= i < geom.n and geom.point_in_solid(i, t_idx)) for i in repl):
         raise ValueError("replacement must lie inside the tangent solid")
-    kept = [i for i in zero_set(geom, form) if not (tmask >> i) & 1]
+    kept = [i for i in zero_set(geom, form) if not geom.point_in_solid(i, t_idx)]
     return QuasiCandidate(points=frozenset(kept) | frozenset(repl), nucleus=n_pt)
 
 

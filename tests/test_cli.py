@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from pg4q import cli
 from pg4q.cli import FormatError, main, read_family_file, write_family_file
 from pg4q.gf import GF
+from pg4q.pg import InconsistencyError
 
 
 def run(argv):
@@ -98,9 +100,20 @@ def test_verify_lemma1_exit_codes(tmp_path):
     assert data["spectra"]["points"] == {"0": 1, "4": 15, "6": 15}
     assert data["spectra"]["solids"] == {"5": 6, "7": 15, "9": 10}
     assert run(["verify-lemma1", "--q", 4, "--json", str(tmp_path / "r4.json")]) == 0
-    with pytest.raises(SystemExit) as exc:
-        run(["verify-lemma1", "--q", 3])
-    assert exc.value.code == 2
+    for q in (3, 16):  # q=16 is refused before any table is built
+        with pytest.raises(SystemExit) as exc:
+            run(["verify-lemma1", "--q", q])
+        assert exc.value.code == 2
+
+
+def test_inconsistency_exit_3(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InconsistencyError("count filter accepted a non-example")
+
+    monkeypatch.setattr(cli, "search_quasi", broken)
+    assert run(["quasi", "search", "--q", 4, "--budget", 10]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "count filter accepted a non-example" in err
 
 
 def test_quasi_check_quadric(tmp_path):

@@ -1,6 +1,9 @@
 """Geometry of PG(4,q): enumeration, canonical forms, incidence."""
 
+import importlib.util
+from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from pg4q.gf import GF
 from pg4q.pg import (
     Geometry,
+    InconsistencyError,
     Solid,
     Subspace,
     WHOLE_SPACE,
@@ -20,6 +24,7 @@ from pg4q.pg import (
     rref,
     span,
 )
+from pg4q.quadric import canonical_q4, zero_set
 
 
 def test_point_counts():
@@ -170,12 +175,61 @@ def test_duality_and_double_count(geom2, geom4):
         assert total == geom.n * (q**3 + q**2 + q + 1)
 
 
-def test_incidence_count_kernels(geom2):
+def _reference_space(q):
+    """perfbench's definition-level PG(4,q), which does not import pg4q."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "ref.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ref", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Space(q)
+
+
+def test_incidence_count_kernels(geoms):
+    geom2 = geoms[2]
     all_solids = range(geom2.n)
     per_point = geom2.incidence_counts_per_point(all_solids)
     assert set(per_point.tolist()) == {15}  # solids through a point
     per_solid = geom2.incidence_counts_per_solid(range(geom2.n))
     assert set(per_solid.tolist()) == {15}
+    # random subsets, the empty set and the whole space against the
+    # brute-force count from the definition
+    for q, geom in geoms.items():
+        ref = _reference_space(q)
+        assert np.array_equal(ref.points, geom.point_array)
+        rng = np.random.default_rng(q)
+        n = geom.n
+        for size in (0, 1, 2, 7, n // 5, n // 2, n):
+            idx = np.sort(rng.choice(n, size, replace=False))
+            expected = ref.incidences(ref.points, ref.points[idx])
+            per_solid = geom.incidence_counts_per_solid(idx.tolist())
+            assert per_solid.dtype == np.int64
+            assert np.array_equal(per_solid, expected)
+            assert np.array_equal(geom.incidence_counts_per_point(idx), expected)
+
+
+def test_incidence_counts_q16_quadric():
+    geom = Geometry(GF(4))
+    q = 16
+    zeros = zero_set(geom, canonical_q4(geom.field))
+    counts = geom.incidence_counts_per_solid(zeros)
+    assert Counter(counts.tolist()) == {
+        (q + 1) ** 2: 32896,
+        q * q + 1: 32640,
+        q * q + q + 1: 4369,
+    }
+    ref = _reference_space(q)
+    zero_pts = ref.points[list(zeros)]
+    sample = np.random.default_rng(16).choice(geom.n, 64, replace=False)
+    assert np.array_equal(counts[sample], ref.incidences(ref.points[sample], zero_pts))
+
+
+def test_incidence_counts_divisibility_check():
+    geom = Geometry(GF(2))
+    chi, _ = geom._characters()
+    geom._chi = chi.copy()
+    geom._chi[1, 1] = 0  # a corrupted character table breaks exactness
+    with pytest.raises(InconsistencyError):
+        geom.incidence_counts_per_solid([0, 1, 2])
 
 
 def test_family_point_masks(geom2):

@@ -70,7 +70,15 @@ def test_perturbed_transversal_fails_solid_condition(geom2, quad2):
     ok, witness = is_quasi_quadric(
         geom2, QuasiCandidate(points=pts, nucleus=(1, 0, 0, 0, 0))
     )
-    assert not ok and witness[0] == "solid"
+    # brute force: the first solid off the nucleus not meeting in 5 or 9
+    expected = next(
+        ("solid", s, size)
+        for s in range(geom2.n)
+        if not geom2.point_in_solid(n_idx, s)
+        for size in [sum(geom2.point_in_solid(p, s) for p in pts)]
+        if size not in (5, 9)
+    )
+    assert not ok and witness == expected
 
 
 def test_solids_meeting_in(geom2, quad2):
