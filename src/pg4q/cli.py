@@ -223,6 +223,10 @@ def cmd_characterize(args) -> int:
     if fam_file.kind != "solids":
         print("characterize expects a file with kind=solids", file=sys.stderr)
         return 2
+    if fam_file.q == 16:
+        print("characterize supports q in {2, 4, 8}: at q=16 the line and plane "
+              "tables (17,965,585 rows each) do not fit in memory", file=sys.stderr)
+        return 2
     geom = _geometry(fam_file.q, fam_file.modulus)
     try:
         indices = [geom.solid_index[rec] for rec in fam_file.records]

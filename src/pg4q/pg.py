@@ -606,15 +606,17 @@ class Geometry:
         partition the remaining points into q^3+q^2+q+1 classes of size q.
         """
         if point_idx not in self._nline_partitions:
-            npt = self.points[point_idx]
-            groups: dict[tuple, list[int]] = {}
-            for i, p in enumerate(self.points):
-                if i == point_idx:
-                    continue
-                key = span(self.field, (npt, p)).rows
-                groups.setdefault(key, []).append(i)
-            lines = sorted(tuple(sorted(g)) for g in groups.values())
-            self._nline_partitions[point_idx] = tuple(lines)
+            # key each other point p by where its line meets x_j = 0:
+            # p + p_j N, with j the pivot of N (so N_j = 1)
+            npt = self.point_array[point_idx]
+            j = int(np.argmax(npt != 0))
+            others = np.delete(np.arange(self.n), point_idx)
+            pts = self.point_array[others]
+            meet = pts ^ self.field.mul_table[pts[:, j, None], npt[None, :]]
+            keys = self._ranks(self._normalize_rows(meet))
+            lines = others[np.lexsort((others, keys))].reshape(-1, self.field.q)
+            lines = lines[np.argsort(lines[:, 0])]
+            self._nline_partitions[point_idx] = tuple(map(tuple, lines.tolist()))
         return self._nline_partitions[point_idx]
 
     def __repr__(self) -> str:

@@ -20,12 +20,23 @@ outside one chosen tangent solid (a plane W of the quotient) and
 replaces the values on W; candidates that pass a vectorised count
 filter are re-verified from scratch by the raw predicate before being
 reported.
+
+Switching filter
+----------------
+Candidate values on W are sqrt(g) + l_s for a ternary quadratic form g
+and a linear form l_s.  Such a candidate agrees with l_r exactly where
+sqrt(g) agrees with l_r + l_s = l_(r+s), so its agreement vector over
+the q^3 linear forms is the form's own vector A_g translated:
+A_(g,s)(r) = A_g(r + s).  Indices concatenate the e-bit base-q digits,
+so the index of r + s is the XOR of the two indices.  A_g costs
+q^3 * |W| compares once per form; every shift s then passes iff
+allowed[A_g(r ^ s), r] holds for all r, a q^3 gather per candidate
+instead of q^3 * |W| compares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from random import Random
 
 import numpy as np
@@ -211,15 +222,10 @@ class _Quotient:
         q = field.q
         self.geom = geom
         self.field = field
-        self.n_idx = geom.point_index[SEARCH_NUCLEUS]
-        us = []
-        for vec in product(range(q), repeat=4):
-            for x in vec:
-                if x:
-                    if x == 1:
-                        us.append(vec)
-                    break
-        self.us = us  # canonical quotient points, lex order
+        # canonical quotient points in lex order: the points (0, u) lead
+        # the lex order of PG(4,q)
+        us = [p[1:] for p in geom.points[: (q**4 - 1) // (q - 1)]]
+        self.us = us
         mul = field._mul
         # canonical quadric transversal: t(u) = sqrt(u1 u2 + u3 u4)
         self.base = [
@@ -227,123 +233,102 @@ class _Quotient:
         ]
         # the first solid through the nucleus is (0,0,0,0,1): u4 = 0
         self.w_ids = [i for i, u in enumerate(us) if u[3] == 0]
-        self.out_ids = [i for i, u in enumerate(us) if u[3] != 0]
         self.w_pts = np.array([us[i][:3] for i in self.w_ids], dtype=np.uint8)
-        self.tangent_idx = geom.solid_index[(0, 0, 0, 0, 1)]
-
-        mt = field.mul_table
-        out_pts = np.array([us[i] for i in self.out_ids], dtype=np.uint8)
-        base_out = np.array([self.base[i] for i in self.out_ids], dtype=np.uint8)
-        a_grid = np.array(list(product(range(q), repeat=4)), dtype=np.uint8)
-        dots_out = mt[a_grid[:, 0, None], out_pts[None, :, 0]]
-        for i in range(1, 4):
-            dots_out = dots_out ^ mt[a_grid[:, i, None], out_pts[None, :, i]]
-        self.outside_agreement = (dots_out == base_out[None, :]).sum(axis=1)
-        # restriction of a to W depends only on its first three entries
-        self.restriction_of = (
-            a_grid[:, 0].astype(np.int64) * q * q
-            + a_grid[:, 1].astype(np.int64) * q
-            + a_grid[:, 2].astype(np.int64)
+        self.base_w = np.array([self.base[i] for i in self.w_ids], dtype=np.uint8)
+        # w_linear_values[r]: l_r on W, (q^3, |W|)
+        self.w_linear_values = _dot_table(
+            field.mul_table, _digits(np.arange(q**3), q, 3), self.w_pts
         )
-        l_grid = np.array(list(product(range(q), repeat=3)), dtype=np.uint8)
-        lw = mt[l_grid[:, 0, None], self.w_pts[None, :, 0]]
-        for i in range(1, 3):
-            lw = lw ^ mt[l_grid[:, i, None], self.w_pts[None, :, i]]
-        self.w_linear_values = lw  # (q^3, |W|)
-        # allowed agreement-on-W values per restriction, intersected
-        # over the q lifts of each restriction
-        good = {q * q + 1, (q + 1) ** 2}
-        max_i = self.w_pts.shape[0]
-        allowed = np.ones((q**3, max_i + 1), dtype=bool)
-        for a_row in range(q**4):
-            o = int(self.outside_agreement[a_row])
-            r = int(self.restriction_of[a_row])
-            row_ok = np.array([(o + i) in good for i in range(max_i + 1)])
-            allowed[r] &= row_ok
-        self.allowed = allowed
+        # outside[a]: agreement of the quadric with a.u off W.  The solids
+        # (1, a) are the last q^4 points in a's lex order, and their
+        # counts of the quadric include the agreement on W with l_(a // q).
+        sizes = geom.incidence_counts_per_solid(self.candidate_points(self.base_w))
+        on_w = (self.w_linear_values == self.base_w).sum(axis=1)
+        outside = sizes[-(q**4) :] - np.repeat(on_w, q)
+        # allowed[i, r]: agreement i with l_r on W is compatible with
+        # every solid (1, a) restricting to l_r; r = a // q in product order
+        total = outside[:, None] + np.arange(self.w_pts.shape[0] + 1)[None, :]
+        good = (total == q * q + 1) | (total == (q + 1) ** 2)
+        self.allowed = np.ascontiguousarray(good.reshape(q**3, q, -1).all(axis=1).T)
+        t = np.arange(q**3)
+        # pairs[s, t]: flat index of (t, t ^ s) in a (q^3, q^3) table
+        self.pairs = t[None, :] * q**3 + (t[None, :] ^ t[:, None])
 
-    def filter_batch(self, values: np.ndarray) -> np.ndarray:
-        """values: (C, |W|) choice vectors on W; returns a validity mask."""
-        c = values.shape[0]
-        ok = np.ones(c, dtype=bool)
-        for r in range(self.w_linear_values.shape[0]):
-            agree = (values == self.w_linear_values[r][None, :]).sum(axis=1)
-            ok &= self.allowed[r, agree]
-        return ok
+    def passing_shifts(self, bases: np.ndarray, shifts: int) -> np.ndarray:
+        """
+        (B, shifts) mask: entry (b, s) says whether the value vector
+        bases[b] + l_s on W passes the count filter; see "Switching filter".
+        """
+        q3 = len(self.pairs)
+        chunk = max(1, (1 << 20) // q3**2)
+        out = []
+        for lo in range(0, len(bases), chunk):
+            block = bases[lo : lo + chunk]
+            agree = (block[:, None, :] == self.w_linear_values[None, :, :]).sum(axis=2)
+            # table[b, t, r] = allowed[agree[b, t], r]; shift s passes
+            # iff table[b, t, t ^ s] holds for every t
+            table = self.allowed[agree].reshape(len(block), -1)
+            out.append(np.take(table, self.pairs[:shifts], axis=1).all(axis=2))
+        return np.concatenate(out)
 
     def candidate_points(self, w_values) -> frozenset:
         """Point indices of the transversal with the given values on W."""
-        field = self.field
-        idx = self.geom.point_index
-        pts = []
-        for i in self.out_ids:
-            u = self.us[i]
-            pts.append(idx[normalize(field, (self.base[i],) + u)])
+        values = list(self.base)
         for pos, i in enumerate(self.w_ids):
-            u = self.us[i]
-            pts.append(idx[normalize(field, (int(w_values[pos]),) + u)])
-        return frozenset(pts)
+            values[i] = int(w_values[pos])
+        idx, field = self.geom.point_index, self.field
+        return frozenset(idx[normalize(field, (t,) + u)] for t, u in zip(values, self.us))
 
-    def base_w_values(self) -> np.ndarray:
-        return np.array([self.base[i] for i in self.w_ids], dtype=np.uint8)
+
+def _digits(codes: np.ndarray, q: int, width: int) -> np.ndarray:
+    """Base-q digits of each code, most significant first, as uint8 rows."""
+    powers = q ** np.arange(width - 1, -1, -1)
+    return (codes[:, None] // powers % q).astype(np.uint8)
+
+
+def _dot_table(mt: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(C, k) x (P, k) -> (C, P) field dot products."""
+    acc = mt[coeffs[:, None, 0], pts[None, :, 0]]
+    for i in range(1, coeffs.shape[1]):
+        acc = acc ^ mt[coeffs[:, None, i], pts[None, :, i]]
+    return acc
 
 
 def _switching_stream(quot: _Quotient, budget: int):
     """
-    Deterministic stream of replacement value vectors on W: first the
-    quadric's own section, then sqrt(ternary quadratic) + linear shifts
-    in ascending coefficient order, in vectorised blocks.
+    Deterministic stream of (bases, shifts) blocks standing for the
+    value vectors bases[b] + l_s on W, s < shifts, in row-major order:
+    first the quadric's own section, then sqrt(ternary quadratic) plus
+    each of the q^3 linear forms, forms in ascending coefficient order.
     """
     field = quot.field
     q = field.q
     mt = field.mul_table
     w = quot.w_pts
-    mono = np.stack(
-        [
-            mt[w[:, 0], w[:, 0]],
-            mt[w[:, 0], w[:, 1]],
-            mt[w[:, 0], w[:, 2]],
-            mt[w[:, 1], w[:, 1]],
-            mt[w[:, 1], w[:, 2]],
-            mt[w[:, 2], w[:, 2]],
-        ],
-        axis=1,
-    )  # (|W|, 6)
-    lin = quot.w_linear_values  # (q^3, |W|)
-    yield quot.base_w_values()[None, :]
+    monomials = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    mono = np.stack([mt[w[:, i], w[:, j]] for i, j in monomials], axis=1)  # (|W|, 6)
+    shifts = q**3
+    yield quot.base_w[None, :], 1
     seen = 1
     g_block = 512
-    g_all = np.array(list(product(range(q), repeat=6)), dtype=np.uint8)
-    for lo in range(0, len(g_all), g_block):
+    for lo in range(0, q**6, g_block):
         if seen >= budget:
             return
-        g = g_all[lo : lo + g_block]
-        vals = mt[g[:, 0, None], mono[None, :, 0]]
-        for t in range(1, 6):
-            vals = vals ^ mt[g[:, t, None], mono[None, :, t]]
-        svals = field.sqrt_table[vals]  # (B, |W|)
-        block = (svals[:, None, :] ^ lin[None, :, :]).reshape(-1, w.shape[0])
-        if seen + len(block) > budget:
-            block = block[: budget - seen]
-        seen += len(block)
-        yield block
+        forms_left = (budget - seen + shifts - 1) // shifts
+        hi = min(lo + g_block, q**6, lo + forms_left)
+        vals = _dot_table(mt, _digits(np.arange(lo, hi), q, 6), mono)
+        seen += (hi - lo) * shifts
+        yield field.sqrt_table[vals], shifts
 
 
 def _random_stream(quot: _Quotient, seed: int, budget: int):
     rng = Random(seed)
     q = quot.field.q
     nw = quot.w_pts.shape[0]
-    yield quot.base_w_values()[None, :]
-    remaining = budget - 1
-    block = 1024
-    while remaining > 0:
-        c = min(block, remaining)
-        arr = np.array(
-            [[rng.randrange(q) for _ in range(nw)] for _ in range(c)],
-            dtype=np.uint8,
-        )
-        remaining -= c
-        yield arr
+    yield quot.base_w[None, :], 1
+    for lo in range(1, budget, 1024):
+        rows = [[rng.randrange(q) for _ in range(nw)] for _ in range(min(1024, budget - lo))]
+        yield np.array(rows, dtype=np.uint8), 1
 
 
 def search_quasi(geom: Geometry, strategy: str, seed: int = 0, budget: int = 20000):
@@ -366,23 +351,24 @@ def search_quasi(geom: Geometry, strategy: str, seed: int = 0, budget: int = 200
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     hits = []
-    seen_sets = set()
+    seen_rows = set()
     evaluated = 0
-    for block in stream:
-        if evaluated >= budget:
-            break
-        if evaluated + len(block) > budget:
-            block = block[: budget - evaluated]
-        evaluated += len(block)
-        ok = quot.filter_batch(block)
-        for row in block[ok]:
-            points = quot.candidate_points(row)
-            if points in seen_sets:
+    lin = quot.w_linear_values
+    for bases, shifts in stream:
+        mask = quot.passing_shifts(bases, shifts)
+        for b, s in zip(*np.nonzero(mask)):
+            if evaluated + b * shifts + s >= budget:
+                break
+            row = bases[b] ^ lin[s]
+            key = row.tobytes()
+            if key in seen_rows:
                 continue
-            seen_sets.add(points)
+            seen_rows.add(key)
+            points = quot.candidate_points(row)
             cand = QuasiCandidate(points=points, nucleus=SEARCH_NUCLEUS)
             verified, witness = is_quasi_quadric(geom, cand)
             if not verified:
                 raise InconsistencyError(f"count filter accepted a non-example: {witness}")
             hits.append(QuasiHit(cand, fit_quadratic_form(geom, points)))
+        evaluated += len(bases) * shifts
     return hits

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from pg4q.gf import GF
@@ -22,3 +25,13 @@ def geom8():
 @pytest.fixture(scope="session")
 def geoms(geom2, geom4, geom8):
     return {2: geom2, 4: geom4, 8: geom8}
+
+
+@pytest.fixture(scope="session")
+def reference_space():
+    """perfbench's definition-level PG(4,q), which does not import pg4q, by q."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "ref.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ref", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Space

@@ -106,6 +106,19 @@ def test_verify_lemma1_exit_codes(tmp_path):
         assert exc.value.code == 2
 
 
+def test_characterize_q16_refused(tmp_path, monkeypatch, capsys):
+    fam = tmp_path / "one16.txt"
+    write_family_file(fam, GF.from_order(16), "solids", [(0, 0, 0, 0, 1)])
+
+    def no_geometry(*args):
+        raise AssertionError("the q=16 Geometry must not be built")
+
+    monkeypatch.setattr(cli, "_geometry", no_geometry)
+    assert run(["characterize", "--family", fam]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "q=16" in err
+
+
 def test_inconsistency_exit_3(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InconsistencyError("count filter accepted a non-example")

@@ -1,9 +1,7 @@
 """Geometry of PG(4,q): enumeration, canonical forms, incidence."""
 
-import importlib.util
 from collections import Counter
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,16 +173,7 @@ def test_duality_and_double_count(geom2, geom4):
         assert total == geom.n * (q**3 + q**2 + q + 1)
 
 
-def _reference_space(q):
-    """perfbench's definition-level PG(4,q), which does not import pg4q."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "ref.py"
-    spec = importlib.util.spec_from_file_location("perfbench_ref", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.Space(q)
-
-
-def test_incidence_count_kernels(geoms):
+def test_incidence_count_kernels(geoms, reference_space):
     geom2 = geoms[2]
     all_solids = range(geom2.n)
     per_point = geom2.incidence_counts_per_point(all_solids)
@@ -194,7 +183,7 @@ def test_incidence_count_kernels(geoms):
     # random subsets, the empty set and the whole space against the
     # brute-force count from the definition
     for q, geom in geoms.items():
-        ref = _reference_space(q)
+        ref = reference_space(q)
         assert np.array_equal(ref.points, geom.point_array)
         rng = np.random.default_rng(q)
         n = geom.n
@@ -207,7 +196,7 @@ def test_incidence_count_kernels(geoms):
             assert np.array_equal(geom.incidence_counts_per_point(idx), expected)
 
 
-def test_incidence_counts_q16_quadric():
+def test_incidence_counts_q16_quadric(reference_space):
     geom = Geometry(GF(4))
     q = 16
     zeros = zero_set(geom, canonical_q4(geom.field))
@@ -217,7 +206,7 @@ def test_incidence_counts_q16_quadric():
         q * q + 1: 32640,
         q * q + q + 1: 4369,
     }
-    ref = _reference_space(q)
+    ref = reference_space(q)
     zero_pts = ref.points[list(zeros)]
     sample = np.random.default_rng(16).choice(geom.n, 64, replace=False)
     assert np.array_equal(counts[sample], ref.incidences(ref.points[sample], zero_pts))
@@ -290,6 +279,22 @@ def test_nline_partition(geom2, geom4):
         assert len(members) == geom.n - 1
         assert len(set(members)) == geom.n - 1
         assert all(len(line) == q for line in part)
+
+
+def _nline_partition_by_span(geom, point_idx):
+    """The lines through a point, grouped by their canonical span."""
+    npt = geom.points[point_idx]
+    groups = {}
+    for i, p in enumerate(geom.points):
+        if i != point_idx:
+            groups.setdefault(span(geom.field, (npt, p)).rows, []).append(i)
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+def test_nline_partition_matches_span_oracle(geom2, geom4):
+    for geom in (geom2, geom4):
+        for n_idx in range(geom.n):
+            assert geom.nline_partition(n_idx) == _nline_partition_by_span(geom, n_idx)
 
 
 def test_intersection_profile_solid_pointset(geom2):

@@ -1,12 +1,19 @@
 """Quasi-quadric predicate, switching, and the search strategies."""
 
+import hashlib
+import json
 from random import Random
 
+import numpy as np
 import pytest
 
+from pg4q.cli import main
 from pg4q.quadric import canonical_q4, nucleus, zero_set
 from pg4q.quasi import (
+    SEARCH_NUCLEUS,
     QuasiCandidate,
+    _Quotient,
+    _switching_stream,
     exhaustive_search_q2,
     is_quasi_quadric,
     search_quasi,
@@ -205,12 +212,81 @@ def test_search_deterministic(geom4):
 
 
 def test_search_finds_non_quadric_q4(geom4):
+    q = 4
     hits = search_quasi(geom4, "switching", seed=0, budget=300000)
     non_quadric = [h for h in hits if h.form is None]
-    assert non_quadric, "the full switching scan finds non-quadric examples"
+    # the full scan: (q-1)q^2 distinct finds, all but the quadric non-quadric
+    assert (len(hits), len(non_quadric)) == ((q - 1) * q * q, (q - 1) * q * q - 1)
+    assert len({h.candidate.points for h in hits}) == len(hits)
     # each returned candidate was re-verified by the raw predicate; spot
     # check one again here and run the converse count on it
     cand = non_quadric[0].candidate
     assert is_quasi_quadric(geom4, cand) == (True, None)
     counts = verify_converse_lemma(geom4, cand)
     assert (counts.member_count, counts.nonmember_count) == (40, 32)
+
+
+@pytest.mark.parametrize("budget, expected", [(0, 0), (1, 1), (65, 1), (66, 1)])
+def test_search_budget_truncates_stream(geom4, budget, expected):
+    assert len(search_quasi(geom4, "switching", budget=budget)) == expected
+
+
+@pytest.mark.parametrize(
+    "q, budget, verified, non_quadric, find_sha256",
+    [
+        (4, 262145, 48, 47, "65835d98a93903acb1eef72f9788292c096d750643fb9b95cf6abcdca7093afa"),
+        (4, 300000, 48, 47, "65835d98a93903acb1eef72f9788292c096d750643fb9b95cf6abcdca7093afa"),
+        (8, 20000, 1, 0, "08e68a58f281dabde81aca4a5000246b7ac307f2aa067632a3c1070fe71a4792"),
+    ],
+)
+def test_search_cli_pinned(tmp_path, q, budget, verified, non_quadric, find_sha256):
+    rep, find = tmp_path / "search.json", tmp_path / "find.txt"
+    argv = ["quasi", "search", "--q", q, "--budget", budget, "--json", rep, "--out", find]
+    assert main([str(a) for a in argv]) == 0
+    report = json.loads(rep.read_text())
+    assert (report["verified"], report["non_quadric"]) == (verified, non_quadric)
+    assert hashlib.sha256(find.read_bytes()).hexdigest() == find_sha256
+
+
+def test_search_q8_finds_canonical_quadric(geom8):
+    hits = search_quasi(geom8, "switching", budget=20000)
+    form = canonical_q4(geom8.field)
+    assert len(hits) == 1
+    assert hits[0].candidate.points == frozenset(zero_set(geom8, form))
+    assert hits[0].candidate.nucleus == nucleus(form) == SEARCH_NUCLEUS
+
+
+def _stream_rows(quot, budget):
+    """Every stream candidate below the budget as a row, with its mask entry."""
+    lin = quot.w_linear_values
+    rows, mask = [], []
+    for bases, shifts in _switching_stream(quot, budget):
+        rows.append((bases[:, None, :] ^ lin[None, :shifts, :]).reshape(-1, lin.shape[1]))
+        mask.append(quot.passing_shifts(bases, shifts).reshape(-1))
+    return np.concatenate(rows)[:budget], np.concatenate(mask)[:budget]
+
+
+def _assert_filter_is_definition(ref, quot, rows, mask):
+    single = quot.passing_shifts(rows, 1)[:, 0]
+    for row, passed, alone in zip(rows, mask, single):
+        points = sorted(quot.candidate_points(row))
+        expected = ref.quasi_quadric_problem(points, SEARCH_NUCLEUS) is None
+        assert passed == alone == expected
+
+
+def test_passing_shifts_matches_definition_q4(geom4, reference_space):
+    quot = _Quotient(geom4)
+    rows, mask = _stream_rows(quot, 4**9 + 1)
+    assert len(rows) == 262145 and mask.sum() == 3073
+    passing = np.unique(rows[mask], axis=0)
+    assert len(passing) == 48
+    ref = reference_space(4)
+    sample = np.random.default_rng(12).choice(len(rows), 512, replace=False)
+    _assert_filter_is_definition(ref, quot, rows[sample], mask[sample])
+    _assert_filter_is_definition(ref, quot, passing, np.ones(len(passing), dtype=bool))
+
+
+def test_passing_shifts_matches_definition_q8(geom8, reference_space):
+    quot = _Quotient(geom8)
+    rows, mask = _stream_rows(quot, 513)
+    _assert_filter_is_definition(reference_space(8), quot, rows, mask)
