@@ -14,8 +14,8 @@ as {value: multiplicity} maps; ``h`` is an integer when q^2/2 divides
 the family size and a "p/q" string otherwise.
 
 Exit codes: 0 success / accepted, 1 rejected (ViolatesI, failed quasi
-check, or a search survivor without a quadratic fit), 2 bad arguments
-or malformed input, 3 internal inconsistency.
+check, or a search survivor without a quadratic fit), 2 bad arguments,
+malformed input or not enough memory, 3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -386,6 +386,9 @@ def main(argv=None) -> int:
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("out of memory: this input needs more memory than is available", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

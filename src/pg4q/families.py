@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pg import Geometry, InconsistencyError, mask_from_indices
+from .pg import Geometry, InconsistencyError, histogram
 from .quadric import (
     MONOMIALS,
     NotParabolicError,
@@ -162,17 +162,10 @@ def check_condition_I(geom: Geometry, solids) -> ColorMap:
 
 
 def _family_counts_over_table(geom: Geometry, fam: tuple, k: int) -> np.ndarray:
-    """For every k-subspace, the number of family solids containing it."""
-    tab = geom.subspace_table(k)
-    fm = geom.family_point_masks(fam)
-    out = np.empty(tab.size, dtype=np.int64)
-    if k == 1:
-        for t, (g0, g1) in enumerate(tab.gen_points.tolist()):
-            out[t] = (fm[g0] & fm[g1]).bit_count()
-    else:
-        for t, (g0, g1, g2) in enumerate(tab.gen_points.tolist()):
-            out[t] = (fm[g0] & fm[g1] & fm[g2]).bit_count()
-    return out
+    """Per plane (k=2, table order) or line (k=1, pencil row), the family solids on it."""
+    if k == 2:
+        return geom.pencil_members(fam).sum(axis=1)
+    return geom.pencil_sums(fam)
 
 
 def check_condition_II(geom: Geometry, solids):
@@ -196,35 +189,21 @@ def partition_solids(geom: Geometry, solids, colors: ColorMap):
     """
     if colors.violations:
         raise ValueError("partition requires a violation-free colouring")
-    fam = set(_normalize_family(geom, solids))
-    through_red: set = set()
-    for r in colors.red:
-        through_red.update(int(s) for s in geom.solids_through_point(r))
-    overlap = fam & through_red
-    if overlap:
-        raise InconsistencyError(
-            f"red point inside family solid(s) {sorted(overlap)[:5]}"
-        )
-    tangent_like = tuple(sorted(through_red))
-    rest = tuple(
-        s for s in range(geom.n) if s not in fam and s not in through_red
-    )
-    return tangent_like, rest
+    in_fam = np.zeros(geom.n, dtype=bool)
+    in_fam[list(_normalize_family(geom, solids))] = True
+    through_red = geom.incidence_counts_per_solid(colors.red) > 0
+    overlap = np.flatnonzero(in_fam & through_red)
+    if len(overlap):
+        raise InconsistencyError(f"red point inside family solid(s) {overlap[:5].tolist()}")
+    rest = np.flatnonzero(~in_fam & ~through_red)
+    return tuple(np.flatnonzero(through_red).tolist()), tuple(rest.tolist())
 
 
-def _per_subspace_black(geom: Geometry, bmask: int, red_mask: int, k: int):
-    """Black count and red-point flag for every k-subspace."""
-    tab = geom.subspace_table(k)
-    sm = geom.solid_masks
-    blacks = np.empty(tab.size, dtype=np.int64)
-    hasred = np.empty(tab.size, dtype=bool)
-    for t, row in enumerate(tab.ann_solids.tolist()):
-        m = sm[row[0]]
-        for s in row[1:]:
-            m &= sm[s]
-        blacks[t] = (m & bmask).bit_count()
-        hasred[t] = bool(m & red_mask)
-    return blacks, hasred
+def _per_subspace_black(geom: Geometry, black, red, k: int):
+    """Black count and red-point flag per plane (k=2, table order) or line (k=1, by pencil row)."""
+    if k == 2:
+        return geom.pencil_sums(black), geom.pencil_sums(red) > 0
+    return geom.pencil_members(black).sum(axis=1), geom.pencil_members(red).any(axis=1)
 
 
 def structure_counts(
@@ -290,12 +269,10 @@ def structure_counts(
         vals = solid_black[list(members)] if members else np.zeros(0, dtype=np.int64)
         ok = int((vals == target).sum())
         identities.append(Identity(f"{label}-black-counts", ok == len(members), ok, len(members)))
-        black_hist[label] = Counter(int(v) for v in vals)
+        black_hist[label] = histogram(vals)
 
     if plane_black is None:
-        bmask = mask_from_indices(colors.black)
-        red_mask = mask_from_indices(colors.red)
-        plane_black, _ = _per_subspace_black(geom, bmask, red_mask, 2)
+        plane_black = geom.pencil_sums(colors.black)
     pencils = geom.plane_pencils()
     reps = pencils.shape[1]
     sum1 = np.zeros(geom.n, dtype=np.int64)
@@ -327,8 +304,7 @@ def plane_spectrum(geom: Geometry, point_indices) -> Counter:
 
 def solid_spectrum(geom: Geometry, point_indices) -> Counter:
     """Histogram of |K ∩ S| over all solids S."""
-    counts = geom.incidence_counts_per_solid(point_indices)
-    return Counter(int(c) for c in counts)
+    return histogram(geom.incidence_counts_per_solid(point_indices))
 
 
 _FIT_CANDIDATE_CAP = 4096
@@ -376,8 +352,8 @@ def fit_quadratic_form(geom: Geometry, point_indices):
     return None
 
 
-def _support_within(counter_vals, allowed) -> bool:
-    return set(int(v) for v in counter_vals) <= set(allowed)
+def _support_within(values, allowed) -> bool:
+    return set(histogram(values)) <= set(allowed)
 
 
 def characterize(geom: Geometry, solids) -> Report:
@@ -413,7 +389,7 @@ def characterize(geom: Geometry, solids) -> Report:
         colors=colors,
     )
     spectra = {
-        "points": Counter(int(c) for c in colors.counts),
+        "points": histogram(colors.counts),
         "lines": Counter(),
         "planes": Counter(),
         "solids": Counter(),
@@ -442,17 +418,14 @@ def characterize(geom: Geometry, solids) -> Report:
         )
     tangent_like, elliptic_like = partition
 
-    bmask = mask_from_indices(colors.black)
-    red_mask = mask_from_indices(colors.red)
-    plane_black, plane_hasred = _per_subspace_black(geom, bmask, red_mask, 2)
-    line_black, line_hasred = _per_subspace_black(geom, bmask, red_mask, 1)
+    plane_black, plane_hasred = _per_subspace_black(geom, colors.black, colors.red, 2)
+    line_black, line_hasred = _per_subspace_black(geom, colors.black, colors.red, 1)
     sc = structure_counts(geom, fam, colors, partition=partition, plane_black=plane_black)
 
     plane_fam = _family_counts_over_table(geom, fam, 2)
-    line_fam = _family_counts_over_table(geom, fam, 1)
-    spectra["planes"] = Counter(int(c) for c in plane_fam)
-    spectra["lines"] = Counter(int(c) for c in line_fam)
-    spectra["solids"] = Counter(int(c) for c in sc.solid_black)
+    spectra["planes"] = histogram(plane_fam)
+    spectra["lines"] = histogram(_family_counts_over_table(geom, fam, 1))
+    spectra["solids"] = histogram(sc.solid_black)
 
     identities = list(sc.identities)
     red_planes = plane_black[plane_hasred]
@@ -573,9 +546,9 @@ def verify_hyperbolic_spectra(geom: Geometry, form: QuadraticForm) -> dict:
     q = geom.field.q
     classes = classify_all_solids(geom, form)
     fam = classes.hyperbolic
-    points = Counter(int(c) for c in point_incidence_counts(geom, fam))
-    lines = Counter(int(c) for c in _family_counts_over_table(geom, fam, 1))
-    planes = Counter(int(c) for c in _family_counts_over_table(geom, fam, 2))
+    points = histogram(point_incidence_counts(geom, fam))
+    lines = histogram(_family_counts_over_table(geom, fam, 1))
+    planes = histogram(_family_counts_over_table(geom, fam, 2))
     allowed = {
         "points": {0, q**3 // 2, (q**3 + q**2) // 2},
         "lines": {0, q * (q - 1) // 2, q * q // 2, q * (q + 1) // 2, q * q},

@@ -38,6 +38,25 @@ points x solids table of dot products.  The dot product is symmetric,
 so one transform counts both the points of K in each solid and the
 solids of K through each point.
 
+Pencil sums
+-----------
+A point off a plane P lies in exactly one of the q+1 solids through P
+(the pencil of P), so for a point set X
+
+    sum over S in the pencil of P of |X ∩ S| = q * |X ∩ P| + |X|,
+
+and dually, for a solid set F and a line L,
+
+    sum over x in L of #{H in F : x in H} = q * #{H in F : L ⊂ H} + |F|.
+
+Points and solids share one enumeration, so a pencil row read as point
+indices is the line ann(P), and the rows list every line exactly once
+(in plane-table order, not line-table order).  One per-solid count and
+a gather over ``plane_pencils`` thus give |X ∩ P| for every plane and
+the solids of F on every line; a value q does not divide raises
+InconsistencyError.  A gather of a 0/1 indicator counts the solids of F
+on each plane, or the points of X on each line.
+
 All Geometry state is immutable once built; derived tables (subspace
 tables, incidence masks, the character table) are computed lazily but
 are pure functions of the field, so repeated or concurrent builds are
@@ -72,8 +91,7 @@ __all__ = [
     "span",
     "contains",
     "projective_span_points",
-    "mask_from_indices",
-    "indices_from_mask",
+    "histogram",
 ]
 
 
@@ -276,22 +294,10 @@ def enumerate_points(field: GF):
     return tuple(pts)
 
 
-def mask_from_indices(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
-def indices_from_mask(mask: int):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+def histogram(values) -> Counter:
+    """Multiset of an integer array as a Counter {value: multiplicity}."""
+    vals, mult = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
+    return Counter(dict(zip(vals.tolist(), mult.tolist())))
 
 
 @dataclass
@@ -439,24 +445,6 @@ class Geometry:
             self._solid_masks = masks
         return self._solid_masks
 
-    def family_point_masks(self, solid_indices) -> list[int]:
-        """
-        Per point, a bitmask over positions in the given solid sequence:
-        bit j is set iff the point lies in solid_indices[j].
-        """
-        idx = np.asarray(list(solid_indices), dtype=np.int64)
-        chunks: list[np.ndarray] = []
-        for lo in range(0, len(idx), 4096):
-            block = self.point_array[idx[lo : lo + 4096]]
-            inc = self._dots(self.point_array, block) == 0
-            # pad to a byte multiple so per-chunk bytes concatenate cleanly
-            pad = (-inc.shape[1]) % 8
-            if pad:
-                inc = np.hstack([inc, np.zeros((self.n, pad), dtype=bool)])
-            chunks.append(np.packbits(inc, axis=1, bitorder="little"))
-        allbytes = np.hstack(chunks)
-        return [int.from_bytes(row.tobytes(), "little") for row in allbytes]
-
     # -- subspace enumeration --------------------------------------------
 
     def _normalize_rows(self, arr: np.ndarray) -> np.ndarray:
@@ -547,8 +535,9 @@ class Geometry:
 
     def plane_pencils(self) -> np.ndarray:
         """
-        (M, q+1) int32: for each plane, the sorted indices of the q+1
-        solids containing it.
+        (M, q+1) int32: for each plane, in table order, the sorted indices
+        of the q+1 solids containing it.  Read as point indices, row t is
+        the line ann(P_t); see "Pencil sums".
         """
         if self._pencils is None:
             tab = self.subspace_table(2)
@@ -583,21 +572,36 @@ class Geometry:
             sorted(self.point_index[p] for p in projective_span_points(self.field, sub.rows))
         )
 
+    def pencil_sums(self, indices) -> np.ndarray:
+        """
+        Per pencil row t, |X ∩ P_t| for a point set X and the plane P_t;
+        by duality, for a solid set X, how many of its solids contain
+        the line of row t.  Duplicate indices count once.
+        """
+        q = self.field.q
+        idx = np.unique(np.asarray(list(indices), dtype=np.int64))
+        num = self.incidence_counts_per_solid(idx)[self.plane_pencils()].sum(axis=1) - len(idx)
+        bad = np.flatnonzero(num % q)
+        if len(bad):
+            raise InconsistencyError(f"pencil sum of plane {bad[0]} is not divisible by q")
+        return num // q
+
+    def pencil_members(self, indices) -> np.ndarray:
+        """(M, q+1) bool: which entries of each pencil row are in the given set."""
+        member = np.zeros(self.n, dtype=bool)
+        member[np.asarray(list(indices), dtype=np.int64)] = True
+        return member[self.plane_pencils()]
+
     def intersection_profile(self, point_indices, k: int) -> Counter:
         """
         Histogram of |K ∩ S| over all k-subspaces S (k = 1 lines,
         k = 2 planes), for K the given point set.
         """
-        kmask = mask_from_indices(point_indices)
-        tab = self.subspace_table(k)
-        sm = self.solid_masks
-        hist: Counter = Counter()
-        for row in tab.ann_solids.tolist():
-            m = sm[row[0]]
-            for s in row[1:]:
-                m &= sm[s]
-            hist[(m & kmask).bit_count()] += 1
-        return hist
+        if k == 2:
+            return histogram(self.pencil_sums(point_indices))
+        if k == 1:
+            return histogram(self.pencil_members(point_indices).sum(axis=1))
+        raise ValueError("intersection profiles are over lines (k=1) or planes (k=2)")
 
     def nline_partition(self, point_idx: int):
         """

@@ -129,6 +129,17 @@ def test_inconsistency_exit_3(monkeypatch, capsys):
     assert err.count("\n") == 1 and "count filter accepted a non-example" in err
 
 
+def test_memory_error_exit_2(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "search_quasi", exhausted)
+    assert run(["quasi", "search", "--q", 4, "--budget", 10]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "out of memory" in captured.err
+
+
 def test_quasi_check_quadric(tmp_path):
     pts = tmp_path / "q2.txt"
     run(["export", "--q", 2, "--what", "quadric", "--out", pts])

@@ -221,12 +221,115 @@ def test_incidence_counts_divisibility_check():
         geom.incidence_counts_per_solid([0, 1, 2])
 
 
-def test_family_point_masks(geom2):
+# -- big-int oracle for the pencil gathers -------------------------------------
+
+
+def _family_point_masks(geom, solid_indices):
+    """Per point, a bitmask over the solid sequence: bit j iff the point lies in solid j."""
+    inc = geom._dots(geom.point_array, geom.point_array[list(solid_indices)]) == 0
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in inc]
+
+
+def _mask(indices):
+    return sum(1 << int(i) for i in set(indices))
+
+
+def _oracle_family_counts(geom, fam, k):
+    """Per k-subspace in table order, the family solids containing all its generators."""
+    fm = _family_point_masks(geom, fam)
+    out = []
+    for gens in geom.subspace_table(k).gen_points.tolist():
+        m = fm[gens[0]]
+        for g in gens[1:]:
+            m &= fm[g]
+        out.append(m.bit_count())
+    return np.array(out)
+
+
+def _oracle_black(geom, black, red, k):
+    """Per k-subspace in table order, its black count and red flag from the solid masks."""
+    bmask, red_mask = _mask(black), _mask(red)
+    sm = geom.solid_masks
+    blacks, hasred = [], []
+    for row in geom.subspace_table(k).ann_solids.tolist():
+        m = sm[row[0]]
+        for s in row[1:]:
+            m &= sm[s]
+        blacks.append((m & bmask).bit_count())
+        hasred.append(bool(m & red_mask))
+    return np.array(blacks), np.array(hasred)
+
+
+def _line_of_pencil_row(geom):
+    """Line-table index of each pencil row read as a point set; a bijection."""
+    sm = geom.solid_masks
+    index = {}
+    for t, (a, b, c) in enumerate(geom.subspace_table(1).ann_solids.tolist()):
+        m = sm[a] & sm[b] & sm[c]
+        index[tuple(i for i in range(geom.n) if (m >> i) & 1)] = t
+    rows = np.array([index[tuple(r)] for r in geom.plane_pencils().tolist()])
+    assert sorted(rows.tolist()) == list(range(geom.subspace_table(1).size))
+    return rows
+
+
+def test_family_point_masks(geom2, geom4):
+    from pg4q.families import _family_counts_over_table, _per_subspace_black, check_condition_I
+    from pg4q.quadric import classify_all_solids
+
     fam = (0, 5, 17)
-    masks = geom2.family_point_masks(fam)
+    masks = _family_point_masks(geom2, fam)
     for p in range(geom2.n):
         for j, s in enumerate(fam):
             assert ((masks[p] >> j) & 1) == geom2.point_in_solid(p, s)
+
+    # the six arrays of characterize against the oracle, plane by plane and
+    # line by line, on the hyperbolic family, a one-solid perturbation and
+    # random sets
+    for geom in (geom2, geom4):
+        rng = np.random.default_rng(geom.field.q)
+        line = _line_of_pencil_row(geom)
+        classes = classify_all_solids(geom, canonical_q4(geom.field))
+        hyp = classes.hyperbolic
+        random_fam = tuple(np.flatnonzero(rng.random(geom.n) < 0.3).tolist())
+        families = [hyp, hyp[1:], tuple(sorted(hyp + classes.elliptic[:1])), random_fam]
+        for fam in families:
+            colors = check_condition_I(geom, fam)
+            black, red = (np.flatnonzero(rng.random(geom.n) < p).tolist() for p in (0.4, 0.05))
+            point_sets = [(colors.black, colors.red), (black, red)]
+            assert np.array_equal(
+                _family_counts_over_table(geom, fam, 2), _oracle_family_counts(geom, fam, 2)
+            )
+            assert np.array_equal(
+                _family_counts_over_table(geom, fam, 1), _oracle_family_counts(geom, fam, 1)[line]
+            )
+            for black, red in point_sets:
+                got_black, got_red = _per_subspace_black(geom, black, red, 2)
+                want_black, want_red = _oracle_black(geom, black, red, 2)
+                assert np.array_equal(got_black, want_black)
+                assert np.array_equal(got_red, want_red)
+                got_black, got_red = _per_subspace_black(geom, black, red, 1)
+                want_black, want_red = _oracle_black(geom, black, red, 1)
+                assert np.array_equal(got_black, want_black[line])
+                assert np.array_equal(got_red, want_red[line])
+                for k in (1, 2):  # duplicates count once
+                    assert geom.intersection_profile(list(black) * 2, k) == Counter(
+                        _oracle_black(geom, black, (), k)[0].tolist()
+                    )
+
+
+def test_pencil_sums_divisibility_check():
+    geom = Geometry(GF(2))
+    pencils = geom.plane_pencils().copy()
+    stranger = next(s for s in range(geom.n) if s not in pencils[0])
+    p = next(
+        p for p in range(geom.n)
+        if geom.point_in_solid(p, stranger) and not geom.point_in_solid(p, pencils[0][0])
+    )
+    geom.pencil_sums([p])  # consistent before the corruption
+    pencils[0][0] = stranger  # row 0 is no longer the pencil of a plane
+    geom._pencils = pencils
+    with pytest.raises(InconsistencyError):
+        geom.pencil_sums([p])
 
 
 def test_annihilator_table(geom2):
