@@ -4,13 +4,8 @@ from .gf import GF, DEFAULT_MODULI
 from .pg import (
     Geometry,
     InconsistencyError,
-    Solid,
-    Subspace,
-    WHOLE_SPACE,
-    contains,
     enumerate_points,
     gaussian_binomial,
-    span,
 )
 from .quadric import (
     QuadraticForm,

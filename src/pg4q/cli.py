@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-lemma1", help="check the hyperbolic incidence spectra")
-    # q=16 is refused: its 17,965,585-row line and plane tables exhaust memory
+    # q=16 is refused: its 17,965,585-row plane table and pencils exhaust memory
     p.add_argument("--q", type=int, required=True, choices=(2, 4, 8))
     p.add_argument("--modulus", type=int, default=None)
     p.add_argument("--json", default=None, help="write the report here instead of stdout")

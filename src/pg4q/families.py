@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pg import Geometry, InconsistencyError, histogram
+from .pg import Geometry, InconsistencyError, histogram, null_space
 from .quadric import (
     MONOMIALS,
     NotParabolicError,
@@ -307,19 +307,17 @@ def solid_spectrum(geom: Geometry, point_indices) -> Counter:
     return histogram(geom.incidence_counts_per_solid(point_indices))
 
 
-_FIT_CANDIDATE_CAP = 4096
-
-
 def fit_quadratic_form(geom: Geometry, point_indices):
     """
-    A nonzero quadratic form vanishing on exactly the given point set
+    The nonzero quadratic form vanishing on exactly the given point set
     and admitting a nucleus, or None.  Solves the homogeneous linear
-    system over the 15 coefficients and tries every projective point of
-    the solution space (up to a cap that none of the intended inputs
-    approach), in a fixed order.
+    system over the 15 coefficients and tests its one basis form; a
+    solution space of any other dimension returns None.  No fit is lost:
+    the zero set of a parabolic form f is a copy of Q(4,q), which lies
+    on exactly one quadric (the solution space has dimension 1 at
+    q = 2, 4 and 8, and collineations preserve it), so every solution
+    is a multiple of f.
     """
-    from .pg import null_space  # local alias, width-15 solve
-
     field = geom.field
     k = tuple(sorted({int(i) for i in point_indices}))
     mul = field._mul
@@ -330,26 +328,16 @@ def fit_quadratic_form(geom: Geometry, point_indices):
     if not rows:
         return None
     basis = null_space(field, rows, width=15)
-    if not basis:
+    if len(basis) != 1:
         return None
-    n_candidates = (field.q ** len(basis) - 1) // (field.q - 1)
-    if n_candidates > _FIT_CANDIDATE_CAP:
-        candidates = list(basis)
-    else:
-        from .pg import projective_span_points
-
-        candidates = projective_span_points(field, basis)
-    for coeffs in candidates:
-        form = QuadraticForm(field, coeffs)
-        vals = evaluate_all(geom, form)
-        if tuple(int(i) for i in np.nonzero(vals == 0)[0]) != k:
-            continue
-        try:
-            nucleus(form)
-        except NotParabolicError:
-            continue
-        return form
-    return None
+    form = QuadraticForm(field, basis[0])
+    if tuple(int(i) for i in np.nonzero(evaluate_all(geom, form) == 0)[0]) != k:
+        return None
+    try:
+        nucleus(form)
+    except NotParabolicError:
+        return None
+    return form
 
 
 def _support_within(values, allowed) -> bool:

@@ -140,18 +140,6 @@ class GF:
         """The unique b with b*b = a."""
         return self._sqrt[a]
 
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            raise ValueError("negative exponent")
-        acc = 1
-        base = a
-        while n:
-            if n & 1:
-                acc = self._mul[acc][base]
-            base = self._mul[base][base]
-            n >>= 1
-        return acc
-
     def elements(self) -> range:
         return range(self.q)
 

@@ -5,25 +5,22 @@ Representations
 ---------------
 * Projective point: 5-tuple of field elements, left-normalised so the
   first nonzero coordinate is 1.
-* Solid (hyperplane): canonical covector with the same normalisation;
+* Hyperplane (solid): canonical covector with the same normalisation;
   point P lies in the solid with covector c iff sum_i c_i * P_i = 0.
   The canonical covectors coincide with the canonical points, so points
   and solids share one enumeration (projective duality).
-* k-subspace (line k=1, plane k=2, solid k=3): (k+1) x 5 generator
-  matrix in reduced row echelon form; the RREF is the unique canonical
-  representative of the subspace.
+* k-subspace (line k=1, plane k=2): a row of ``SubspaceTable``, whose
+  (k+1) x 5 generator matrix is in reduced row echelon form; the RREF is
+  the unique canonical representative of the subspace.  Solids are
+  points by duality, so no solid table is built.  A plane reported as a
+  witness is named by its row in the plane table.
 
 Enumeration orders (frozen)
 ---------------------------
 Points and solids are listed in ascending lexicographic order of their
-canonical tuples, so (0,0,0,0,1) is index 0.  Subspace lists are in
+canonical tuples, so (0,0,0,0,1) is index 0.  The subspace tables are in
 ascending lexicographic order of the flattened RREF.  Reports, file
 formats and tests reference these indices; the orders must not change.
-
-``iter_subspaces`` streams subspaces in pivot-set generation order,
-which is deterministic but unsorted.  Use it when only a multiset of
-per-subspace results is needed and materialising the sorted table would
-be wasteful (q=16 has ~1.8e7 planes).
 
 Incidence counts
 ----------------
@@ -75,21 +72,14 @@ from .gf import GF
 
 __all__ = [
     "InconsistencyError",
-    "Subspace",
-    "Solid",
-    "WHOLE_SPACE",
     "Geometry",
     "SubspaceTable",
     "gaussian_binomial",
     "enumerate_points",
     "normalize",
     "dot",
-    "matvec",
-    "mat_inv",
     "rref",
     "null_space",
-    "span",
-    "contains",
     "projective_span_points",
     "histogram",
 ]
@@ -118,10 +108,6 @@ def dot(field: GF, u, v) -> int:
     for a, b in zip(u, v):
         acc ^= mul[a][b]
     return acc
-
-
-def matvec(field: GF, m, v) -> tuple:
-    return tuple(dot(field, row, v) for row in m)
 
 
 def normalize(field: GF, vec):
@@ -181,81 +167,6 @@ def null_space(field: GF, rows, width: int = 5):
     return tuple(basis)
 
 
-def mat_inv(field: GF, m):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(m)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    red, piv = rref(field, aug, width=2 * n)
-    if len(piv) < n or any(p >= n for p in piv):
-        return None
-    return tuple(tuple(row[n:]) for row in red)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Projective subspace of dimension dim, rows = canonical RREF generators."""
-
-    dim: int
-    rows: tuple
-
-
-@dataclass(frozen=True)
-class Solid:
-    """A hyperplane of PG(4,q), given by its canonical covector."""
-
-    covector: tuple
-
-
-WHOLE_SPACE = Subspace(
-    4,
-    (
-        (1, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0),
-        (0, 0, 1, 0, 0),
-        (0, 0, 0, 1, 0),
-        (0, 0, 0, 0, 1),
-    ),
-)
-
-
-def span(field: GF, pts) -> Subspace:
-    """
-    Canonical subspace spanned by the given vectors.  A full-rank input
-    returns the WHOLE_SPACE marker rather than raising, so degenerate
-    inputs cannot abort batch runs.
-    """
-    pts = list(pts)
-    if not pts:
-        raise ValueError("span of an empty point list")
-    red, _ = rref(field, pts)
-    if len(red) == 5:
-        return WHOLE_SPACE
-    return Subspace(len(red) - 1, red)
-
-
-def _proj_dim(obj) -> int:
-    if isinstance(obj, Subspace):
-        return obj.dim
-    if isinstance(obj, Solid):
-        return 3
-    return 0  # a point
-
-
-def contains(field: GF, outer, inner) -> bool:
-    """
-    True iff inner (point or Subspace) lies inside outer (Solid or
-    Subspace).  Requires dim(inner) < dim(outer).
-    """
-    if _proj_dim(inner) >= _proj_dim(outer):
-        raise ValueError("inner object must have strictly smaller dimension")
-    inner_rows = inner.rows if isinstance(inner, Subspace) else (tuple(inner),)
-    if isinstance(outer, Solid):
-        return all(dot(field, outer.covector, r) == 0 for r in inner_rows)
-    rank = len(outer.rows)
-    red, _ = rref(field, list(outer.rows) + list(inner_rows))
-    return len(red) == rank
-
-
 def projective_span_points(field: GF, rows):
     """
     All canonical points of the projective subspace spanned by the given
@@ -305,20 +216,15 @@ class SubspaceTable:
     """
     Sorted canonical table of all projective k-subspaces.
 
-    rref       : (M, k+1, 5) uint8, canonical generator matrices in
-                 ascending flattened-lex order.
-    gen_points : (M, k+1) int32, point indices of the generator rows
-                 (RREF rows are canonical points).
-    ann_rows   : (M, 4-k, 5) uint8, normalised basis of the annihilator;
-                 the subspace is the intersection of these solids.
-    ann_solids : (M, 4-k) int32, solid indices of the annihilator basis.
+    rref     : (M, k+1, 5) uint8, canonical generator matrices in
+               ascending flattened-lex order.
+    ann_rows : (M, 4-k, 5) uint8, normalised basis of the annihilator;
+               the subspace is the intersection of these solids.
     """
 
     k: int
     rref: np.ndarray
-    gen_points: np.ndarray
     ann_rows: np.ndarray
-    ann_solids: np.ndarray
 
     @property
     def size(self) -> int:
@@ -350,7 +256,6 @@ class Geometry:
         self._chi: np.ndarray | None = None
         self._codes: np.ndarray | None = None
         self._tables: dict[int, SubspaceTable] = {}
-        self._subspace_lists: dict[int, tuple] = {}
         self._pencils: np.ndarray | None = None
         self._nline_partitions: dict[int, tuple] = {}
 
@@ -455,9 +360,9 @@ class Geometry:
         return self.field.mul_table[arr, inv[..., None]]
 
     def subspace_table(self, k: int) -> SubspaceTable:
-        """Canonical sorted table of all k-subspaces, built once."""
-        if k not in (1, 2, 3):
-            raise ValueError("subspace dimension must be 1, 2 or 3")
+        """Canonical sorted table of all lines (k=1) or planes (k=2), built once."""
+        if k not in (1, 2):
+            raise ValueError("subspace dimension must be 1 or 2")
         if k in self._tables:
             return self._tables[k]
         q = self.field.q
@@ -490,48 +395,10 @@ class Geometry:
         rr = np.concatenate(blocks)
         an = np.concatenate(ann_blocks)
         order = np.lexsort(rr.reshape(len(rr), 5 * k1).T[::-1])
-        rr = rr[order]
-        an = self._normalize_rows(an[order])
-        tab = SubspaceTable(
-            k=k,
-            rref=rr,
-            gen_points=self._ranks(rr).astype(np.int32),
-            ann_rows=an,
-            ann_solids=self._ranks(an).astype(np.int32),
-        )
+        tab = SubspaceTable(k=k, rref=rr[order], ann_rows=self._normalize_rows(an[order]))
         assert tab.size == self.num_subspaces(k)
         self._tables[k] = tab
         return tab
-
-    def iter_subspaces(self, k: int):
-        """Stream every k-subspace once, in unsorted generation order."""
-        q = self.field.q
-        k1 = k + 1
-        for pivots in combinations(range(5), k1):
-            free_pos = [
-                (i, c)
-                for i in range(k1)
-                for c in range(5)
-                if c not in pivots and c > pivots[i]
-            ]
-            base = [[0] * 5 for _ in range(k1)]
-            for i in range(k1):
-                base[i][pivots[i]] = 1
-            for vals in product(range(q), repeat=len(free_pos)):
-                rows = [row[:] for row in base]
-                for (i, c), v in zip(free_pos, vals):
-                    rows[i][c] = v
-                yield Subspace(k, tuple(tuple(r) for r in rows))
-
-    def subspaces(self, k: int):
-        """All k-subspaces as Subspace objects in canonical sorted order."""
-        if k not in self._subspace_lists:
-            tab = self.subspace_table(k)
-            self._subspace_lists[k] = tuple(
-                Subspace(k, tuple(tuple(int(x) for x in row) for row in m))
-                for m in tab.rref
-            )
-        return self._subspace_lists[k]
 
     def plane_pencils(self) -> np.ndarray:
         """
@@ -552,25 +419,6 @@ class Geometry:
             members = self._ranks(self._normalize_rows(vecs))
             self._pencils = np.sort(members, axis=1).astype(np.int32)
         return self._pencils
-
-    # -- subspace queries -------------------------------------------------
-
-    def solids_through(self, sub: Subspace):
-        """
-        All solids containing the given line or plane, as Solid objects
-        sorted by covector index: q^2+q+1 for a line, q+1 for a plane.
-        """
-        if sub.dim not in (1, 2):
-            raise ValueError("expected a line or a plane")
-        basis = null_space(self.field, sub.rows)
-        covs = sorted(projective_span_points(self.field, basis))
-        return [Solid(c) for c in covs]
-
-    def subspace_points(self, sub: Subspace):
-        """Sorted point indices of a subspace."""
-        return tuple(
-            sorted(self.point_index[p] for p in projective_span_points(self.field, sub.rows))
-        )
 
     def pencil_sums(self, indices) -> np.ndarray:
         """

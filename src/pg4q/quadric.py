@@ -10,7 +10,7 @@ form has a one-dimensional radical whose point N (the nucleus) is off
 the quadric, and the solids through N are exactly those meeting the
 quadric in a cone.
 
-Solid sections are classified by cardinality: (q+1)^2 hyperbolic,
+The sections of solids are classified by cardinality: (q+1)^2 hyperbolic,
 q^2+1 elliptic, q^2+q+1 cone.  Any other size is reported as "other"
 and only arises for degenerate forms or arbitrary point sets; the
 nucleus criterion cross-checks the cone class.
@@ -28,7 +28,6 @@ from .gf import GF
 from .pg import (
     Geometry,
     InconsistencyError,
-    Solid,
     null_space,
     projective_span_points,
     rref,
@@ -183,10 +182,8 @@ def _kind_of_size(q: int, size: int) -> str:
 def section_type(geom: Geometry, form: QuadraticForm, solid) -> Section:
     """
     Classify the solid section of the form's zero set by its size.
-    ``solid`` may be a solid index, a Solid, or a covector tuple.
+    ``solid`` may be a solid index or a canonical covector tuple.
     """
-    if isinstance(solid, Solid):
-        solid = solid.covector
     if isinstance(solid, int):
         sidx = solid
     else:

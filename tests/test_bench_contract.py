@@ -25,7 +25,13 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize(
     "workload, trace, names",
-    [("characterize-q8", 1, "per_layer"), ("census-q4", 0, "end_to_end")],
+    [
+        ("characterize-q8", 1, "per_layer"),
+        ("census-q4", 1, "per_layer"),
+        ("search-q8", 1, "per_layer"),
+        ("export-q16", 1, "per_layer"),
+        ("census-q4", 0, "end_to_end"),
+    ],
 )
 def test_benchmark_output_contract(workload, trace, names):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -20,8 +20,9 @@ from pg4q.families import (
     structure_counts,
     verify_hyperbolic_spectra,
 )
-from pg4q.pg import InconsistencyError
+from pg4q.pg import InconsistencyError, null_space
 from pg4q.quadric import (
+    MONOMIALS,
     apply_collineation,
     canonical_q4,
     classify_all_solids,
@@ -192,6 +193,24 @@ def test_fit_after_collineation(geom4):
     fitted = fit_quadratic_form(geom4, zero_set(geom4, f2))
     assert fitted is not None
     assert zero_set(geom4, fitted) == zero_set(geom4, f2)
+
+
+def test_fit_solution_space_is_one_dimensional(geoms):
+    # Q(4,q) lies on exactly one quadric, so fit_quadratic_form only ever
+    # needs the one basis form of the solution space
+    for q, geom in geoms.items():
+        field = geom.field
+        rng = Random(q)
+        f = canonical_q4(field)
+        forms = [f] + [apply_collineation(f, random_invertible_matrix(field, rng)) for _ in range(3)]
+        for form in forms:
+            zeros = zero_set(geom, form)
+            rows = [
+                [field.mul(p[i], p[j]) for i, j in MONOMIALS]
+                for p in (geom.points[t] for t in zeros)
+            ]
+            assert len(null_space(field, rows, width=15)) == 1
+            assert fit_quadratic_form(geom, zeros[1:]) is None
 
 
 def test_fit_random_points_fails(geom2):

@@ -126,13 +126,6 @@ def test_squaring_is_bijection(e):
         assert f.mul(s, s) == a
 
 
-def test_pow():
-    f = GF(3)
-    for a in f.units():
-        assert f.pow(a, f.q - 1) == 1
-        assert f.pow(a, f.q - 2) == f.inv(a)
-
-
 def test_context_equality():
     assert GF(2) == GF(2)
     assert GF(2) != GF(3)

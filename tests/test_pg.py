@@ -1,7 +1,6 @@
 """Geometry of PG(4,q): enumeration, canonical forms, incidence."""
 
 from collections import Counter
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,17 +9,11 @@ from pg4q.gf import GF
 from pg4q.pg import (
     Geometry,
     InconsistencyError,
-    Solid,
-    Subspace,
-    WHOLE_SPACE,
-    contains,
     enumerate_points,
     gaussian_binomial,
-    mat_inv,
     normalize,
-    null_space,
+    projective_span_points,
     rref,
-    span,
 )
 from pg4q.quadric import canonical_q4, zero_set
 
@@ -65,22 +58,17 @@ def test_q8_plane_count(geom8):
     assert geom8.subspace_table(1).size == expected  # duality
 
 
-def test_subspace_enumeration_matches_streaming(geom2):
-    for k in (1, 2, 3):
-        tab = geom2.subspace_table(k)
-        sorted_keys = [tuple(m.ravel().tolist()) for m in tab.rref]
-        streamed = sorted(
-            tuple(x for row in s.rows for x in row)
-            for s in geom2.iter_subspaces(k)
-        )
-        assert sorted_keys == streamed
-        assert sorted_keys == sorted(set(sorted_keys))  # unique canonical reps
-
-
-def test_subspaces_objects(geom2):
-    lines = geom2.subspaces(1)
-    assert len(lines) == 155
-    assert all(s.dim == 1 and len(s.rows) == 2 for s in lines)
+def test_subspace_table_canonical(geom2, geom4):
+    # canonical, unique and as many as the Gaussian binomial: every
+    # subspace appears exactly once
+    for geom in (geom2, geom4):
+        for k in (1, 2):
+            tab = geom.subspace_table(k)
+            for m in tab.rref.tolist():
+                assert rref(geom.field, m)[0] == tuple(map(tuple, m))
+            keys = [tuple(m.ravel().tolist()) for m in tab.rref]
+            assert keys == sorted(set(keys))
+            assert len(keys) == gaussian_binomial(5, k + 1, geom.field.q)
 
 
 def test_enumeration_deterministic():
@@ -99,69 +87,10 @@ def test_rref_and_normalize():
     assert piv == (0, 4)
 
 
-def test_span():
-    f = GF(1)
-    line = span(f, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
-    assert line.dim == 1
-    assert line.rows == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
-    # idempotence: the span of all q+1 points of a line is the line
-    pts = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0)]
-    assert span(f, pts) == line
-    full = span(
-        f,
-        [
-            (1, 0, 0, 0, 0),
-            (0, 1, 0, 0, 0),
-            (0, 0, 1, 0, 0),
-            (0, 0, 0, 1, 0),
-            (0, 0, 0, 0, 1),
-        ],
-    )
-    assert full is WHOLE_SPACE
-
-
-def test_span_empty_rejected():
-    with pytest.raises(ValueError):
-        span(GF(1), [])
-
-
-def test_contains():
-    f = GF(1)
-    s = Solid((1, 0, 0, 0, 0))  # x0 = 0
-    assert contains(f, s, (0, 1, 0, 0, 0))
-    assert not contains(f, s, (1, 0, 0, 0, 0))
-    line = span(f, [(0, 1, 0, 0, 0), (0, 0, 1, 0, 0)])
-    assert contains(f, s, line)
-    plane = span(f, [(0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
-    assert contains(f, plane, line)
-    assert not contains(f, plane, span(f, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]))
-    with pytest.raises(ValueError):
-        contains(f, line, plane)  # inner must be smaller
-    assert contains(f, WHOLE_SPACE, plane)
-
-
 def test_solid_point_counts(geom2):
     # every solid carries q^3+q^2+q+1 points
     for s in range(geom2.n):
         assert geom2.solid_masks[s].bit_count() == 15
-
-
-def test_solids_through(geom2, geom4):
-    plane = span(geom2.field, [(0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
-    through = geom2.solids_through(plane)
-    assert len(through) == 3  # q + 1
-    # the pencil members pairwise meet exactly in the plane
-    for a, b in combinations(through, 2):
-        meet = null_space(geom2.field, [a.covector, b.covector])
-        meet_sub = span(geom2.field, meet)
-        assert meet_sub.rows == plane.rows
-    line4 = span(geom4.field, [(0, 1, 0, 0, 0), (0, 0, 1, 0, 0)])
-    assert len(geom4.solids_through(line4)) == 21  # q^2 + q + 1
-
-
-def test_solids_through_requires_line_or_plane(geom2):
-    with pytest.raises(ValueError):
-        geom2.solids_through(span(geom2.field, [(1, 0, 0, 0, 0)]))
 
 
 def test_duality_and_double_count(geom2, geom4):
@@ -230,6 +159,11 @@ def _family_point_masks(geom, solid_indices):
     return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in inc]
 
 
+def _indices(geom, matrices):
+    """Per matrix, the point (by duality, solid) indices of its canonical rows."""
+    return [[geom.point_index[tuple(r)] for r in m] for m in matrices.tolist()]
+
+
 def _mask(indices):
     return sum(1 << int(i) for i in set(indices))
 
@@ -238,7 +172,7 @@ def _oracle_family_counts(geom, fam, k):
     """Per k-subspace in table order, the family solids containing all its generators."""
     fm = _family_point_masks(geom, fam)
     out = []
-    for gens in geom.subspace_table(k).gen_points.tolist():
+    for gens in _indices(geom, geom.subspace_table(k).rref):
         m = fm[gens[0]]
         for g in gens[1:]:
             m &= fm[g]
@@ -251,7 +185,7 @@ def _oracle_black(geom, black, red, k):
     bmask, red_mask = _mask(black), _mask(red)
     sm = geom.solid_masks
     blacks, hasred = [], []
-    for row in geom.subspace_table(k).ann_solids.tolist():
+    for row in _indices(geom, geom.subspace_table(k).ann_rows):
         m = sm[row[0]]
         for s in row[1:]:
             m &= sm[s]
@@ -264,7 +198,7 @@ def _line_of_pencil_row(geom):
     """Line-table index of each pencil row read as a point set; a bijection."""
     sm = geom.solid_masks
     index = {}
-    for t, (a, b, c) in enumerate(geom.subspace_table(1).ann_solids.tolist()):
+    for t, (a, b, c) in enumerate(_indices(geom, geom.subspace_table(1).ann_rows)):
         m = sm[a] & sm[b] & sm[c]
         index[tuple(i for i in range(geom.n) if (m >> i) & 1)] = t
     rows = np.array([index[tuple(r)] for r in geom.plane_pencils().tolist()])
@@ -335,41 +269,21 @@ def test_pencil_sums_divisibility_check():
 def test_annihilator_table(geom2):
     tab = geom2.subspace_table(2)
     sm = geom2.solid_masks
-    for t in range(tab.size):
-        rows = [tuple(int(x) for x in r) for r in tab.rref[t]]
-        m = sm[tab.ann_solids[t][0]] & sm[tab.ann_solids[t][1]]
-        pts = geom2.subspace_points(Subspace(2, tuple(rows)))
+    for rows, (a, b) in zip(tab.rref.tolist(), _indices(geom2, tab.ann_rows)):
+        m = sm[a] & sm[b]
+        pts = [geom2.point_index[p] for p in projective_span_points(geom2.field, rows)]
         assert m.bit_count() == 7  # q^2+q+1 points of a plane
         assert all((m >> p) & 1 for p in pts)
 
 
-def test_plane_pencils(geom2):
-    pencils = geom2.plane_pencils()
-    tab = geom2.subspace_table(2)
-    for t in (0, 42, 154):
-        sub = Subspace(2, tuple(tuple(int(x) for x in r) for r in tab.rref[t]))
-        expected = sorted(geom2.solid_index[s.covector] for s in geom2.solids_through(sub))
-        assert pencils[t].tolist() == expected
-
-
-def test_matrix_inverse():
-    f = GF(2)
-    m = ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 2, 1, 0, 0), (0, 0, 0, 3, 0), (0, 0, 1, 0, 1))
-    mi = mat_inv(f, m)
-    assert mi is not None
-    ident = tuple(tuple(1 if i == j else 0 for j in range(5)) for i in range(5))
-    prod = tuple(
-        tuple(
-            __import__("functools").reduce(
-                lambda a, b: a ^ b, (f.mul(m[i][k], mi[k][j]) for k in range(5))
-            )
-            for j in range(5)
-        )
-        for i in range(5)
-    )
-    assert prod == ident
-    singular = ((1, 0, 0, 0, 0),) * 5
-    assert mat_inv(f, singular) is None
+def test_plane_pencils(geom2, reference_space):
+    # the pencil of a plane: the solids whose covector annihilates all
+    # three of its RREF rows
+    ref = reference_space(2)
+    rows = geom2.subspace_table(2).rref
+    on = (ref.dots(ref.points, rows.reshape(-1, 5)) == 0).reshape(geom2.n, len(rows), 3)
+    expected = [np.flatnonzero(col).tolist() for col in on.all(axis=2).T]
+    assert geom2.plane_pencils().tolist() == expected
 
 
 def test_nline_partition(geom2, geom4):
@@ -390,7 +304,7 @@ def _nline_partition_by_span(geom, point_idx):
     groups = {}
     for i, p in enumerate(geom.points):
         if i != point_idx:
-            groups.setdefault(span(geom.field, (npt, p)).rows, []).append(i)
+            groups.setdefault(rref(geom.field, (npt, p))[0], []).append(i)
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
