@@ -1,12 +1,19 @@
 """Solid-family analysis: colouring, identities, spectra, characterisation."""
 
+import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import pg4q.families as families_mod
+import pg4q.quasi as quasi_mod
+from pg4q.cli import report_json
 from pg4q.families import (
+    INCONSISTENT,
     QUADRIC_VERDICT,
     VIOLATES_I,
     characterize,
@@ -27,9 +34,13 @@ from pg4q.quadric import (
     canonical_q4,
     classify_all_solids,
     nucleus,
+    SolidClasses,
     random_invertible_matrix,
     zero_set,
 )
+from pg4q.quasi import search_quasi, solids_meeting_in
+
+INCONSISTENT_EXITS = Path(__file__).resolve().parent / "inconsistent_exits.json"
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +272,105 @@ def test_verify_hyperbolic_spectra_q4(geom4):
     spectra = verify_hyperbolic_spectra(geom4, canonical_q4(geom4.field))
     assert dict(spectra["points"]) == {0: 1, 32: 255, 40: 85}
     assert set(spectra["planes"]) <= {0, 2, 4}
+
+
+# -- the InternalInconsistency exits of characterize ---------------------------
+
+
+@pytest.fixture(scope="module")
+def census_family4(geom4):
+    """The secant family of the first non-quadric find of the q=4 switching census."""
+    hit = next(h for h in search_quasi(geom4, "switching", budget=4**9 + 1) if h.form is None)
+    return solids_meeting_in(geom4, hit.candidate.points, 25)
+
+
+def _raise_inconsistency(*args, **kwargs):
+    raise InconsistencyError("red point inside family solid(s) [0]")
+
+
+def _flip_first_identity(structure_counts):
+    def wrapped(*args, **kwargs):
+        sc = structure_counts(*args, **kwargs)
+        sc.identities = (replace(sc.identities[0], holds=False),) + sc.identities[1:]
+        return sc
+
+    return wrapped
+
+
+def _fail_call(func, n):
+    """func, except that its n-th call returns False."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return len(calls) != n and func(*args)
+
+    return wrapped
+
+
+def _rotated_classes(classify):
+    """classify, with each section class moved to the next one."""
+
+    def wrapped(geom, form):
+        c = classify(geom, form)
+        return SolidClasses(hyperbolic=c.elliptic, elliptic=c.tangent, tangent=c.hyperbolic)
+
+    return wrapped
+
+
+def _patch_sections(mp):
+    mp.setattr(families_mod, "classify_all_solids", _rotated_classes(classify_all_solids))
+    mp.setattr(families_mod, "nucleus", lambda form: (0, 0, 0, 0, 1))
+
+
+# exit name -> (q of the input family, patch forcing the exit); q=2 runs the
+# canonical hyperbolic family, q=4 the census find, whose verdict is quasi
+_EXITS = {
+    "partition": (2, lambda mp: mp.setattr(families_mod, "partition_solids", _raise_inconsistency)),
+    "identities": (
+        2,
+        lambda mp: mp.setattr(
+            families_mod, "structure_counts", _flip_first_identity(families_mod.structure_counts)
+        ),
+    ),
+    "quasi-conditions": (
+        4,
+        lambda mp: mp.setattr(quasi_mod, "is_quasi_quadric", lambda g, c: (False, ("solid", 7, 3))),
+    ),
+    "secant-family": (4, lambda mp: mp.setattr(quasi_mod, "solids_meeting_in", lambda g, p, s: ())),
+    "plane-spectrum": (
+        2,
+        lambda mp: mp.setattr(
+            families_mod, "_support_within", _fail_call(families_mod._support_within, 1)
+        ),
+    ),
+    "solid-spectrum": (
+        2,
+        lambda mp: mp.setattr(
+            families_mod, "_support_within", _fail_call(families_mod._support_within, 2)
+        ),
+    ),
+    "form-fit": (2, lambda mp: mp.setattr(families_mod, "fit_quadratic_form", lambda g, p: None)),
+    "section-classes": (2, _patch_sections),
+}
+
+
+def _exit_report(name, geom, family, monkeypatch):
+    """The whole report of one forced exit, as JSON, with the black histograms."""
+    _EXITS[name][1](monkeypatch)
+    rep = characterize(geom, family)
+    hist = None
+    if rep.black_hist is not None:
+        hist = {k: sorted(v.items()) for k, v in rep.black_hist.items()}
+    return json.loads(json.dumps({"report": report_json(rep), "black_hist": hist}))
+
+
+@pytest.mark.parametrize("name", sorted(_EXITS))
+def test_characterize_inconsistent_exits(name, geom2, geom4, hyp2, census_family4, monkeypatch):
+    # tests/inconsistent_exits.json was captured before characterize was
+    # restructured into stages; any difference is a change of behaviour
+    q, _ = _EXITS[name]
+    geom, family = (geom2, hyp2.hyperbolic) if q == 2 else (geom4, census_family4)
+    got = _exit_report(name, geom, family, monkeypatch)
+    assert got["report"]["verdict"]["kind"] == INCONSISTENT
+    assert got == json.loads(INCONSISTENT_EXITS.read_text())[name]
