@@ -224,8 +224,8 @@ def cmd_characterize(args) -> int:
         print("characterize expects a file with kind=solids", file=sys.stderr)
         return 2
     if fam_file.q == 16:
-        print("characterize supports q in {2, 4, 8}: at q=16 the line and plane "
-              "tables (17,965,585 rows each) do not fit in memory", file=sys.stderr)
+        print("characterize supports q in {2, 4, 8}: at q=16 the plane table and its "
+              "pencils (17,965,585 rows each) do not fit in memory", file=sys.stderr)
         return 2
     geom = _geometry(fam_file.q, fam_file.modulus)
     try:

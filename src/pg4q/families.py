@@ -106,7 +106,7 @@ class Report:
     spectra: dict
     identities: tuple
     black_hist: dict | None
-    verdict: Verdict
+    verdict: Verdict | None
 
 
 @dataclass
@@ -161,13 +161,6 @@ def check_condition_I(geom: Geometry, solids) -> ColorMap:
     )
 
 
-def _family_counts_over_table(geom: Geometry, fam: tuple, k: int) -> np.ndarray:
-    """Per plane (k=2, table order) or line (k=1, pencil row), the family solids on it."""
-    if k == 2:
-        return geom.pencil_members(fam).sum(axis=1)
-    return geom.pencil_sums(fam)
-
-
 def check_condition_II(geom: Geometry, solids):
     """
     Every plane inside at least one family solid must be inside at least
@@ -176,7 +169,7 @@ def check_condition_II(geom: Geometry, solids):
     fam = _normalize_family(geom, solids)
     if not fam:
         return True, ()
-    counts = _family_counts_over_table(geom, fam, 2)
+    counts = geom.pencil_members(fam).sum(axis=1)
     bad = np.nonzero((counts > 0) & (counts < geom.field.q // 2))[0]
     return len(bad) == 0, tuple(int(i) for i in bad)
 
@@ -199,19 +192,14 @@ def partition_solids(geom: Geometry, solids, colors: ColorMap):
     return tuple(np.flatnonzero(through_red).tolist()), tuple(rest.tolist())
 
 
-def _per_subspace_black(geom: Geometry, black, red, k: int):
-    """Black count and red-point flag per plane (k=2, table order) or line (k=1, by pencil row)."""
-    if k == 2:
-        return geom.pencil_sums(black), geom.pencil_sums(red) > 0
-    return geom.pencil_members(black).sum(axis=1), geom.pencil_members(red).any(axis=1)
+def _count_identity(name: str, values: np.ndarray, target: int) -> Identity:
+    """Holds iff every value equals the target; lhs counts those that do."""
+    ok = int((values == target).sum())
+    return Identity(name, ok == len(values), ok, len(values))
 
 
 def structure_counts(
-    geom: Geometry,
-    solids,
-    colors: ColorMap,
-    partition: tuple | None = None,
-    plane_black: np.ndarray | None = None,
+    geom: Geometry, solids, colors: ColorMap, partition: tuple | None = None
 ) -> StructureCounts:
     """
     The exact identity chain for a family with a clean colouring:
@@ -266,40 +254,30 @@ def structure_counts(
     )
     black_hist = {}
     for label, members, target in targets:
-        vals = solid_black[list(members)] if members else np.zeros(0, dtype=np.int64)
-        ok = int((vals == target).sum())
-        identities.append(Identity(f"{label}-black-counts", ok == len(members), ok, len(members)))
+        vals = solid_black[list(members)]
+        identities.append(_count_identity(f"{label}-black-counts", vals, target))
         black_hist[label] = histogram(vals)
 
-    if plane_black is None:
-        plane_black = geom.pencil_sums(colors.black)
+    plane_black = geom.pencil_sums(colors.black)
     pencils = geom.plane_pencils()
     reps = pencils.shape[1]
     sum1 = np.zeros(geom.n, dtype=np.int64)
     sum2 = np.zeros(geom.n, dtype=np.int64)
     np.add.at(sum1, pencils.ravel(), np.repeat(plane_black, reps))
     np.add.at(sum2, pencils.ravel(), np.repeat(plane_black * (plane_black - 1), reps))
-    fam_list = list(fam)
     t1 = (q + 1) ** 2 * (q * q + q + 1)
     t2 = (q + 1) ** 3 * (q * q + 2 * q)
-    ok1 = int((sum1[fam_list] == t1).sum()) if fam_list else 0
-    ok2 = int((sum2[fam_list] == t2).sum()) if fam_list else 0
-    identities.append(Identity("plane-black-sum-per-family-solid", ok1 == hs, ok1, hs))
-    identities.append(Identity("plane-black-pair-sum-per-family-solid", ok2 == hs, ok2, hs))
-
-    return StructureCounts(
-        h=h,
-        identities=tuple(identities),
-        partition=partition,
-        solid_black=solid_black,
-        black_hist=black_hist,
-        plane_black=plane_black,
+    identities.append(_count_identity("plane-black-sum-per-family-solid", sum1[list(fam)], t1))
+    identities.append(
+        _count_identity("plane-black-pair-sum-per-family-solid", sum2[list(fam)], t2)
     )
+
+    return StructureCounts(h, tuple(identities), partition, solid_black, black_hist, plane_black)
 
 
 def plane_spectrum(geom: Geometry, point_indices) -> Counter:
     """Histogram of |K ∩ P| over all planes P."""
-    return geom.intersection_profile(point_indices, 2)
+    return histogram(geom.pencil_sums(point_indices))
 
 
 def solid_spectrum(geom: Geometry, point_indices) -> Counter:
@@ -346,19 +324,24 @@ def _support_within(values, allowed) -> bool:
 
 def characterize(geom: Geometry, solids) -> Report:
     """
-    Full decision pipeline for a non-empty solid family.
+    Full decision pipeline for a non-empty solid family.  The report is
+    built once, after colouring; ``_decide`` then runs the stages below
+    in order, filling in the partition, spectra, identities and black
+    histograms as each becomes known, and stops at the first verdict.
 
     1. Colour points; any off-menu count yields verdict ViolatesI with
        the offending points as witnesses.
-    2. On a clean colouring, run the identity chain and both spectra
-       surveys.
+    2. On a clean colouring, partition the solids, run the identity chain
+       and the spectra surveys; a red point in a family solid or a failed
+       identity is inconsistent.
     3. If some plane inside the family is covered fewer than q/2 times,
        verify that the black set is a quasi-quadric whose nucleus is the
        red point and that the family is exactly its (q+1)^2-secant
        solids: verdict SatisfiesI-QuasiQuadric.
-    4. Otherwise recover a quadratic form from the black set, check that
-       the family and the two complementary classes match its section
-       classes: verdict SatisfiesI&II-Quadric.
+    4. Otherwise check the black set's plane and solid spectra, recover a
+       quadratic form from it, and check that the family and the two
+       complementary classes match its section classes: verdict
+       SatisfiesI&II-Quadric.
 
     Any outcome the counting identities rule out is reported as
     InternalInconsistency: with q <= 8 it would indicate a bug in this
@@ -369,159 +352,93 @@ def characterize(geom: Geometry, solids) -> Report:
     if not fam:
         raise ValueError("the family must be non-empty")
     colors = check_condition_I(geom, fam)
-    base = dict(
+    report = Report(
         q=q,
         modulus=geom.field.modulus,
         family_size=len(fam),
         h=Fraction(len(fam), q * q // 2),
         colors=colors,
+        partition=None,
+        spectra={
+            "points": histogram(colors.counts),
+            "lines": Counter(),
+            "planes": Counter(),
+            "solids": Counter(),
+        },
+        identities=(),
+        black_hist=None,
+        verdict=None,
     )
-    spectra = {
-        "points": histogram(colors.counts),
-        "lines": Counter(),
-        "planes": Counter(),
-        "solids": Counter(),
-    }
+    report.verdict = _decide(geom, fam, report)
+    return report
+
+
+def _decide(geom: Geometry, fam: tuple, report: Report) -> Verdict:
+    """The stages of ``characterize`` after colouring; see its docstring."""
+    q = geom.field.q
+    colors = report.colors
     if colors.violations:
-        verdict = Verdict(VIOLATES_I, witnesses=colors.violations)
-        return Report(
-            **base,
-            partition=None,
-            spectra=spectra,
-            identities=(),
-            black_hist=None,
-            verdict=verdict,
-        )
-
+        return Verdict(VIOLATES_I, witnesses=colors.violations)
     try:
-        partition = partition_solids(geom, fam, colors)
+        tangent_like, elliptic_like = partition = partition_solids(geom, fam, colors)
     except InconsistencyError as exc:
-        return Report(
-            **base,
-            partition=None,
-            spectra=spectra,
-            identities=(),
-            black_hist=None,
-            verdict=Verdict(INCONSISTENT, details=str(exc)),
-        )
-    tangent_like, elliptic_like = partition
+        return Verdict(INCONSISTENT, details=str(exc))
 
-    plane_black, plane_hasred = _per_subspace_black(geom, colors.black, colors.red, 2)
-    line_black, line_hasred = _per_subspace_black(geom, colors.black, colors.red, 1)
-    sc = structure_counts(geom, fam, colors, partition=partition, plane_black=plane_black)
-
-    plane_fam = _family_counts_over_table(geom, fam, 2)
-    spectra["planes"] = histogram(plane_fam)
-    spectra["lines"] = histogram(_family_counts_over_table(geom, fam, 1))
-    spectra["solids"] = histogram(sc.solid_black)
-
-    identities = list(sc.identities)
-    red_planes = plane_black[plane_hasred]
-    red_lines = line_black[line_hasred]
-    identities.append(
-        Identity(
-            "red-plane-black-counts",
-            bool((red_planes == q + 1).all()),
-            int((red_planes == q + 1).sum()),
-            len(red_planes),
-        )
+    sc = structure_counts(geom, fam, colors, partition=partition)
+    red_planes = sc.plane_black[geom.pencil_sums(colors.red) > 0]
+    red_lines = geom.pencil_members(colors.black).sum(axis=1)[
+        geom.pencil_members(colors.red).any(axis=1)
+    ]
+    plane_fam = geom.pencil_members(fam).sum(axis=1)
+    report.partition = {"h": len(fam), "e": len(elliptic_like), "t": len(tangent_like)}
+    report.spectra["lines"] = histogram(geom.pencil_sums(fam))
+    report.spectra["planes"] = histogram(plane_fam)
+    report.spectra["solids"] = histogram(sc.solid_black)
+    report.identities = sc.identities + (
+        _count_identity("red-plane-black-counts", red_planes, q + 1),
+        _count_identity("red-line-black-counts", red_lines, 1),
     )
-    identities.append(
-        Identity(
-            "red-line-black-counts",
-            bool((red_lines == 1).all()),
-            int((red_lines == 1).sum()),
-            len(red_lines),
-        )
-    )
-    identities = tuple(identities)
-    partition_sizes = {
-        "h": len(fam),
-        "e": len(elliptic_like),
-        "t": len(tangent_like),
-    }
-    common = dict(
-        **base,
-        partition=partition_sizes,
-        spectra=spectra,
-        identities=identities,
-        black_hist=sc.black_hist,
-    )
-
-    failed = [i.name for i in identities if not i.holds]
+    report.black_hist = sc.black_hist
+    failed = [i.name for i in report.identities if not i.holds]
     if failed:
-        return Report(
-            **common,
-            verdict=Verdict(INCONSISTENT, details="failed identities: " + ", ".join(failed)),
-        )
+        return Verdict(INCONSISTENT, details="failed identities: " + ", ".join(failed))
 
     red_point = geom.points[colors.red[0]]
-    violators = tuple(
-        int(i) for i in np.nonzero((plane_fam > 0) & (plane_fam < q // 2))[0]
-    )
+    violators = tuple(np.flatnonzero((plane_fam > 0) & (plane_fam < q // 2)).tolist())
     if violators:
         from .quasi import QuasiCandidate, is_quasi_quadric, solids_meeting_in
 
-        cand = QuasiCandidate(points=frozenset(colors.black), nucleus=red_point)
-        ok, witness = is_quasi_quadric(geom, cand)
+        ok, witness = is_quasi_quadric(geom, QuasiCandidate(frozenset(colors.black), red_point))
         if not ok:
-            return Report(
-                **common,
-                verdict=Verdict(
-                    INCONSISTENT,
-                    details=f"black set fails the quasi-quadric conditions: {witness}",
-                ),
+            return Verdict(
+                INCONSISTENT, details=f"black set fails the quasi-quadric conditions: {witness}"
             )
-        secants = solids_meeting_in(geom, colors.black, (q + 1) ** 2)
-        if secants != fam:
-            return Report(
-                **common,
-                verdict=Verdict(
-                    INCONSISTENT,
-                    details="family differs from the (q+1)^2-secant solids of the black set",
-                ),
+        if solids_meeting_in(geom, colors.black, (q + 1) ** 2) != fam:
+            return Verdict(
+                INCONSISTENT,
+                details="family differs from the (q+1)^2-secant solids of the black set",
             )
-        return Report(
-            **common,
-            verdict=Verdict(QUASI_VERDICT, witnesses=violators, nucleus=red_point),
-        )
+        return Verdict(QUASI_VERDICT, witnesses=violators, nucleus=red_point)
 
-    if not _support_within(plane_black, (1, q + 1, 2 * q + 1)):
-        return Report(
-            **common,
-            verdict=Verdict(INCONSISTENT, details="plane spectrum of the black set is off-menu"),
-        )
+    if not _support_within(sc.plane_black, (1, q + 1, 2 * q + 1)):
+        return Verdict(INCONSISTENT, details="plane spectrum of the black set is off-menu")
     if not _support_within(sc.solid_black, (q * q + 1, q * q + q + 1, (q + 1) ** 2)):
-        return Report(
-            **common,
-            verdict=Verdict(INCONSISTENT, details="solid spectrum of the black set is off-menu"),
-        )
+        return Verdict(INCONSISTENT, details="solid spectrum of the black set is off-menu")
     form = fit_quadratic_form(geom, colors.black)
     if form is None:
-        return Report(
-            **common,
-            verdict=Verdict(INCONSISTENT, details="no quadratic form fits the black set"),
-        )
+        return Verdict(INCONSISTENT, details="no quadratic form fits the black set")
     classes = classify_all_solids(geom, form)
-    problems = []
-    if classes.hyperbolic != fam:
-        problems.append("family is not the hyperbolic class of the fitted form")
-    if classes.elliptic != elliptic_like:
-        problems.append("elliptic class mismatch")
-    if classes.tangent != tangent_like:
-        problems.append("tangent class mismatch")
     n_pt = nucleus(form)
-    if n_pt != red_point:
-        problems.append("nucleus differs from the red point")
-    if problems:
-        return Report(
-            **common,
-            verdict=Verdict(INCONSISTENT, details="; ".join(problems)),
-        )
-    return Report(
-        **common,
-        verdict=Verdict(QUADRIC_VERDICT, form=form.coeffs, nucleus=n_pt),
+    checks = (
+        (classes.hyperbolic == fam, "family is not the hyperbolic class of the fitted form"),
+        (classes.elliptic == elliptic_like, "elliptic class mismatch"),
+        (classes.tangent == tangent_like, "tangent class mismatch"),
+        (n_pt == red_point, "nucleus differs from the red point"),
     )
+    problems = [msg for holds, msg in checks if not holds]
+    if problems:
+        return Verdict(INCONSISTENT, details="; ".join(problems))
+    return Verdict(QUADRIC_VERDICT, form=form.coeffs, nucleus=n_pt)
 
 
 def verify_hyperbolic_spectra(geom: Geometry, form: QuadraticForm) -> dict:
@@ -535,8 +452,8 @@ def verify_hyperbolic_spectra(geom: Geometry, form: QuadraticForm) -> dict:
     classes = classify_all_solids(geom, form)
     fam = classes.hyperbolic
     points = histogram(point_incidence_counts(geom, fam))
-    lines = histogram(_family_counts_over_table(geom, fam, 1))
-    planes = histogram(_family_counts_over_table(geom, fam, 2))
+    lines = histogram(geom.pencil_sums(fam))
+    planes = histogram(geom.pencil_members(fam).sum(axis=1))
     allowed = {
         "points": {0, q**3 // 2, (q**3 + q**2) // 2},
         "lines": {0, q * (q - 1) // 2, q * q // 2, q * (q + 1) // 2, q * q},

@@ -62,6 +62,7 @@ harmless.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -78,6 +79,7 @@ __all__ = [
     "enumerate_points",
     "normalize",
     "dot",
+    "dots",
     "rref",
     "null_space",
     "projective_span_points",
@@ -107,6 +109,15 @@ def dot(field: GF, u, v) -> int:
     acc = 0
     for a, b in zip(u, v):
         acc ^= mul[a][b]
+    return acc
+
+
+def dots(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(A, k) x (B, k) -> (A, B) field dot products of the rows of two uint8 arrays."""
+    mt = field.mul_table
+    acc = mt[a[:, None, 0], b[None, :, 0]]
+    for i in range(1, a.shape[1]):
+        acc = acc ^ mt[a[:, None, i], b[None, :, i]]
     return acc
 
 
@@ -284,14 +295,6 @@ class Geometry:
 
     # -- incidence kernels ---------------------------------------------
 
-    def _dots(self, pts: np.ndarray, covs: np.ndarray) -> np.ndarray:
-        """(P,5) x (S,5) -> (P,S) matrix of field dot products."""
-        mt = self.field.mul_table
-        acc = mt[pts[:, 0, None], covs[None, :, 0]]
-        for i in range(1, 5):
-            acc = acc ^ mt[pts[:, i, None], covs[None, :, i]]
-        return acc
-
     def _characters(self):
         """chi[a, b] = (-1)^Tr(ab) as int32 and the base-q point codes, built on first use."""
         if self._chi is None:
@@ -328,12 +331,19 @@ class Geometry:
 
     incidence_counts_per_point = incidence_counts_per_solid
 
+    def as_solid_index(self, solid) -> int:
+        """A solid given by index (any integer type) or by canonical covector, as its index."""
+        try:
+            return operator.index(solid)
+        except TypeError:
+            return self.solid_index[tuple(solid)]
+
     def point_in_solid(self, point_idx: int, solid_idx: int) -> bool:
         return dot(self.field, self.points[point_idx], self.points[solid_idx]) == 0
 
     def solids_through_point(self, point_idx: int) -> np.ndarray:
         pt = self.point_array[point_idx : point_idx + 1]
-        d = self._dots(pt, self.point_array)[0]
+        d = dots(self.field, pt, self.point_array)[0]
         return np.nonzero(d == 0)[0]
 
     @property
@@ -343,7 +353,7 @@ class Geometry:
             masks: list[int] = []
             for lo in range(0, self.n, 1024):
                 block = self.point_array[lo : lo + 1024]
-                inc = self._dots(self.point_array, block) == 0
+                inc = dots(self.field, self.point_array, block) == 0
                 packed = np.packbits(inc, axis=0, bitorder="little")
                 for j in range(inc.shape[1]):
                     masks.append(int.from_bytes(packed[:, j].tobytes(), "little"))
@@ -439,17 +449,6 @@ class Geometry:
         member = np.zeros(self.n, dtype=bool)
         member[np.asarray(list(indices), dtype=np.int64)] = True
         return member[self.plane_pencils()]
-
-    def intersection_profile(self, point_indices, k: int) -> Counter:
-        """
-        Histogram of |K ∩ S| over all k-subspaces S (k = 1 lines,
-        k = 2 planes), for K the given point set.
-        """
-        if k == 2:
-            return histogram(self.pencil_sums(point_indices))
-        if k == 1:
-            return histogram(self.pencil_members(point_indices).sum(axis=1))
-        raise ValueError("intersection profiles are over lines (k=1) or planes (k=2)")
 
     def nline_partition(self, point_idx: int):
         """

@@ -28,6 +28,7 @@ from .gf import GF
 from .pg import (
     Geometry,
     InconsistencyError,
+    histogram,
     null_space,
     projective_span_points,
     rref,
@@ -184,10 +185,7 @@ def section_type(geom: Geometry, form: QuadraticForm, solid) -> Section:
     Classify the solid section of the form's zero set by its size.
     ``solid`` may be a solid index or a canonical covector tuple.
     """
-    if isinstance(solid, int):
-        sidx = solid
-    else:
-        sidx = geom.solid_index[tuple(solid)]
+    sidx = geom.as_solid_index(solid)
     size = sum(geom.point_in_solid(p, sidx) for p in zero_set(geom, form))
     kind = _kind_of_size(geom.field.q, size)
     try:
@@ -282,4 +280,4 @@ def random_invertible_matrix(field: GF, rng: Random):
 
 def line_profile(geom: Geometry, point_indices) -> Counter:
     """Histogram of |K ∩ L| over all lines L, for K the given point set."""
-    return geom.intersection_profile(point_indices, 1)
+    return histogram(geom.pencil_members(point_indices).sum(axis=1))

@@ -42,7 +42,7 @@ from random import Random
 import numpy as np
 
 from .families import fit_quadratic_form
-from .pg import Geometry, InconsistencyError, normalize
+from .pg import Geometry, InconsistencyError, dots, normalize
 from .quadric import QuadraticForm, nucleus, zero_set
 
 __all__ = [
@@ -159,10 +159,7 @@ def switch(geom: Geometry, form: QuadraticForm, tangent, replacement) -> QuasiCa
     """
     n_pt = nucleus(form)
     n_idx = geom.point_index[n_pt]
-    if isinstance(tangent, int):
-        t_idx = tangent
-    else:
-        t_idx = geom.solid_index[tuple(tangent)]
+    t_idx = geom.as_solid_index(tangent)
     if not geom.point_in_solid(n_idx, t_idx):
         raise ValueError("the chosen solid does not contain the nucleus")
     repl = {int(i) for i in replacement}
@@ -182,36 +179,28 @@ def exhaustive_search_q2(geom: Geometry):
     and attach a fitted quadratic form.  Order: ascending choice code,
     where bit i of the code picks the larger point on line i.
     """
-    q = geom.field.q
-    if q != 2:
+    if geom.field.q != 2:
         raise ValueError("the exhaustive search is only feasible at q = 2")
-    n_pt = SEARCH_NUCLEUS
-    n_idx = geom.point_index[n_pt]
-    lines = geom.nline_partition(n_idx)
-    assert all(len(line) == 2 for line in lines) and len(lines) == 15
-    lo_bits = [1 << line[0] for line in lines]
-    hi_bits = [1 << line[1] for line in lines]
-    sm = geom.solid_masks
-    off_n = [s for s in range(geom.n) if not geom.point_in_solid(n_idx, s)]
-    off_masks = [sm[s] for s in off_n]
-    hits = []
-    for code in range(1 << 15):
-        kmask = 0
-        for i in range(15):
-            kmask |= hi_bits[i] if (code >> i) & 1 else lo_bits[i]
-        if all((kmask & m).bit_count() in (5, 9) for m in off_masks):
-            points = frozenset(
-                lines[i][(code >> i) & 1] for i in range(15)
-            )
-            cand = QuasiCandidate(points=points, nucleus=n_pt)
-            ok, witness = is_quasi_quadric(geom, cand)
-            if not ok:
-                raise InconsistencyError(f"filter accepted a non-example: {witness}")
-            hits.append(QuasiHit(cand, fit_quadratic_form(geom, points)))
-    return hits
+    quot = _Quotient(geom)
+    # bit i of the code is h(u_i): the larger point (1, u_i) of line i
+    rows = _digits(np.arange(1 << 15), 2, 15)[:, ::-1]
+    # the solid (1, a) meets the transversal where h(u) = a.u
+    forms = dots(geom.field, _digits(np.arange(16), 2, 4), quot.us)
+    agree = (rows[:, None, :] == forms[None, :, :]).sum(axis=2)
+    passing = ((agree == 5) | (agree == 9)).all(axis=1)
+    return [_verified_hit(geom, quot.candidate_points(rows[c])) for c in np.flatnonzero(passing)]
 
 
-# -- quotient machinery for the q >= 4 searches ------------------------
+def _verified_hit(geom: Geometry, points: frozenset) -> QuasiHit:
+    """A filter survivor, re-verified from the definition and given its fitted form."""
+    cand = QuasiCandidate(points=points, nucleus=SEARCH_NUCLEUS)
+    ok, witness = is_quasi_quadric(geom, cand)
+    if not ok:
+        raise InconsistencyError(f"count filter accepted a non-example: {witness}")
+    return QuasiHit(cand, fit_quadratic_form(geom, points))
+
+
+# -- quotient machinery for the searches --------------------------------
 
 
 class _Quotient:
@@ -222,27 +211,22 @@ class _Quotient:
         q = field.q
         self.geom = geom
         self.field = field
+        mt = field.mul_table
         # canonical quotient points in lex order: the points (0, u) lead
         # the lex order of PG(4,q)
-        us = [p[1:] for p in geom.points[: (q**4 - 1) // (q - 1)]]
-        self.us = us
-        mul = field._mul
+        us = self.us = geom.point_array[: (q**4 - 1) // (q - 1), 1:]
         # canonical quadric transversal: t(u) = sqrt(u1 u2 + u3 u4)
-        self.base = [
-            field._sqrt[mul[u[0]][u[1]] ^ mul[u[2]][u[3]]] for u in us
-        ]
+        self.base = field.sqrt_table[mt[us[:, 0], us[:, 1]] ^ mt[us[:, 2], us[:, 3]]]
         # the first solid through the nucleus is (0,0,0,0,1): u4 = 0
-        self.w_ids = [i for i, u in enumerate(us) if u[3] == 0]
-        self.w_pts = np.array([us[i][:3] for i in self.w_ids], dtype=np.uint8)
-        self.base_w = np.array([self.base[i] for i in self.w_ids], dtype=np.uint8)
+        self.w_ids = np.flatnonzero(us[:, 3] == 0)
+        self.w_pts = us[self.w_ids, :3]
+        self.base_w = self.base[self.w_ids]
         # w_linear_values[r]: l_r on W, (q^3, |W|)
-        self.w_linear_values = _dot_table(
-            field.mul_table, _digits(np.arange(q**3), q, 3), self.w_pts
-        )
+        self.w_linear_values = dots(field, _digits(np.arange(q**3), q, 3), self.w_pts)
         # outside[a]: agreement of the quadric with a.u off W.  The solids
         # (1, a) are the last q^4 points in a's lex order, and their
         # counts of the quadric include the agreement on W with l_(a // q).
-        sizes = geom.incidence_counts_per_solid(self.candidate_points(self.base_w))
+        sizes = geom.incidence_counts_per_solid(self.candidate_points(self.base))
         on_w = (self.w_linear_values == self.base_w).sum(axis=1)
         outside = sizes[-(q**4) :] - np.repeat(on_w, q)
         # allowed[i, r]: agreement i with l_r on W is compatible with
@@ -271,27 +255,17 @@ class _Quotient:
             out.append(np.take(table, self.pairs[:shifts], axis=1).all(axis=2))
         return np.concatenate(out)
 
-    def candidate_points(self, w_values) -> frozenset:
-        """Point indices of the transversal with the given values on W."""
-        values = list(self.base)
-        for pos, i in enumerate(self.w_ids):
-            values[i] = int(w_values[pos])
-        idx, field = self.geom.point_index, self.field
-        return frozenset(idx[normalize(field, (t,) + u)] for t, u in zip(values, self.us))
+    def candidate_points(self, values: np.ndarray) -> frozenset:
+        """Point indices of the transversal with value values[i] at quotient point i."""
+        vecs = np.concatenate([values[:, None], self.us], axis=1)
+        geom = self.geom
+        return frozenset(geom._ranks(geom._normalize_rows(vecs)).tolist())
 
 
 def _digits(codes: np.ndarray, q: int, width: int) -> np.ndarray:
     """Base-q digits of each code, most significant first, as uint8 rows."""
     powers = q ** np.arange(width - 1, -1, -1)
     return (codes[:, None] // powers % q).astype(np.uint8)
-
-
-def _dot_table(mt: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(C, k) x (P, k) -> (C, P) field dot products."""
-    acc = mt[coeffs[:, None, 0], pts[None, :, 0]]
-    for i in range(1, coeffs.shape[1]):
-        acc = acc ^ mt[coeffs[:, None, i], pts[None, :, i]]
-    return acc
 
 
 def _switching_stream(quot: _Quotient, budget: int):
@@ -316,7 +290,7 @@ def _switching_stream(quot: _Quotient, budget: int):
             return
         forms_left = (budget - seen + shifts - 1) // shifts
         hi = min(lo + g_block, q**6, lo + forms_left)
-        vals = _dot_table(mt, _digits(np.arange(lo, hi), q, 6), mono)
+        vals = dots(field, _digits(np.arange(lo, hi), q, 6), mono)
         seen += (hi - lo) * shifts
         yield field.sqrt_table[vals], shifts
 
@@ -364,11 +338,8 @@ def search_quasi(geom: Geometry, strategy: str, seed: int = 0, budget: int = 200
             if key in seen_rows:
                 continue
             seen_rows.add(key)
-            points = quot.candidate_points(row)
-            cand = QuasiCandidate(points=points, nucleus=SEARCH_NUCLEUS)
-            verified, witness = is_quasi_quadric(geom, cand)
-            if not verified:
-                raise InconsistencyError(f"count filter accepted a non-example: {witness}")
-            hits.append(QuasiHit(cand, fit_quadratic_form(geom, points)))
+            values = quot.base.copy()
+            values[quot.w_ids] = row
+            hits.append(_verified_hit(geom, quot.candidate_points(values)))
         evaluated += len(bases) * shifts
     return hits

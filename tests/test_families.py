@@ -27,7 +27,8 @@ from pg4q.families import (
     structure_counts,
     verify_hyperbolic_spectra,
 )
-from pg4q.pg import InconsistencyError, null_space
+from pg4q.gf import GF
+from pg4q.pg import Geometry, InconsistencyError, null_space
 from pg4q.quadric import (
     MONOMIALS,
     apply_collineation,
@@ -106,9 +107,7 @@ def test_condition_II(geom2, geom4, hyp2, hyp4):
 
 
 def test_plane_counts_menu(geom2, hyp2):
-    from pg4q.families import _family_counts_over_table
-
-    counts = _family_counts_over_table(geom2, tuple(hyp2.hyperbolic), 2)
+    counts = geom2.pencil_members(tuple(hyp2.hyperbolic)).sum(axis=1)
     assert set(counts.tolist()) <= {0, 1, 2}  # {0, q/2, q} at q=2
 
 
@@ -272,6 +271,30 @@ def test_verify_hyperbolic_spectra_q4(geom4):
     spectra = verify_hyperbolic_spectra(geom4, canonical_q4(geom4.field))
     assert dict(spectra["points"]) == {0: 1, 32: 255, 40: 85}
     assert set(spectra["planes"]) <= {0, 2, 4}
+
+
+def test_characterize_pencil_inconsistency_propagates(hyp2, monkeypatch):
+    # a failed pencil divisibility check is an error (CLI exit 3), not a verdict
+    geom = Geometry(GF(1))
+
+    def broken(indices):
+        raise InconsistencyError("pencil sum of plane 0 is not divisible by q")
+
+    monkeypatch.setattr(geom, "pencil_sums", broken)
+    with pytest.raises(InconsistencyError, match="pencil sum"):
+        characterize(geom, hyp2.hyperbolic)
+
+
+def test_characterize_pencil_gathers(hyp2, monkeypatch):
+    # one pencil sum and one indicator gather each for the black set, the
+    # red point and the family
+    geom = Geometry(GF(1))
+    calls = Counter()
+    for name in ("pencil_sums", "pencil_members"):
+        method = getattr(geom, name)
+        monkeypatch.setattr(geom, name, lambda idx, m=method, n=name: calls.update([n]) or m(idx))
+    assert characterize(geom, hyp2.hyperbolic).verdict.kind == QUADRIC_VERDICT
+    assert calls == Counter(pencil_sums=3, pencil_members=3)
 
 
 # -- the InternalInconsistency exits of characterize ---------------------------

@@ -10,12 +10,13 @@ from pg4q.pg import (
     Geometry,
     InconsistencyError,
     enumerate_points,
+    dots,
     gaussian_binomial,
     normalize,
     projective_span_points,
     rref,
 )
-from pg4q.quadric import canonical_q4, zero_set
+from pg4q.quadric import canonical_q4, line_profile, zero_set
 
 
 def test_point_counts():
@@ -155,7 +156,7 @@ def test_incidence_counts_divisibility_check():
 
 def _family_point_masks(geom, solid_indices):
     """Per point, a bitmask over the solid sequence: bit j iff the point lies in solid j."""
-    inc = geom._dots(geom.point_array, geom.point_array[list(solid_indices)]) == 0
+    inc = dots(geom.field, geom.point_array, geom.point_array[list(solid_indices)]) == 0
     return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in inc]
 
 
@@ -207,7 +208,7 @@ def _line_of_pencil_row(geom):
 
 
 def test_family_point_masks(geom2, geom4):
-    from pg4q.families import _family_counts_over_table, _per_subspace_black, check_condition_I
+    from pg4q.families import check_condition_I, plane_spectrum
     from pg4q.quadric import classify_all_solids
 
     fam = (0, 5, 17)
@@ -231,22 +232,21 @@ def test_family_point_masks(geom2, geom4):
             black, red = (np.flatnonzero(rng.random(geom.n) < p).tolist() for p in (0.4, 0.05))
             point_sets = [(colors.black, colors.red), (black, red)]
             assert np.array_equal(
-                _family_counts_over_table(geom, fam, 2), _oracle_family_counts(geom, fam, 2)
+                geom.pencil_members(fam).sum(axis=1), _oracle_family_counts(geom, fam, 2)
             )
-            assert np.array_equal(
-                _family_counts_over_table(geom, fam, 1), _oracle_family_counts(geom, fam, 1)[line]
-            )
+            assert np.array_equal(geom.pencil_sums(fam), _oracle_family_counts(geom, fam, 1)[line])
             for black, red in point_sets:
-                got_black, got_red = _per_subspace_black(geom, black, red, 2)
+                got_black, got_red = geom.pencil_sums(black), geom.pencil_sums(red) > 0
                 want_black, want_red = _oracle_black(geom, black, red, 2)
                 assert np.array_equal(got_black, want_black)
                 assert np.array_equal(got_red, want_red)
-                got_black, got_red = _per_subspace_black(geom, black, red, 1)
+                got_black = geom.pencil_members(black).sum(axis=1)
+                got_red = geom.pencil_members(red).any(axis=1)
                 want_black, want_red = _oracle_black(geom, black, red, 1)
                 assert np.array_equal(got_black, want_black[line])
                 assert np.array_equal(got_red, want_red[line])
-                for k in (1, 2):  # duplicates count once
-                    assert geom.intersection_profile(list(black) * 2, k) == Counter(
+                for k, profile in ((1, line_profile), (2, plane_spectrum)):  # duplicates count once
+                    assert profile(geom, list(black) * 2) == Counter(
                         _oracle_black(geom, black, (), k)[0].tolist()
                     )
 
@@ -317,5 +317,5 @@ def test_nline_partition_matches_span_oracle(geom2, geom4):
 def test_intersection_profile_solid_pointset(geom2):
     # lines meet a hyperplane in 1 or q+1 points, never 0
     k = [p for p in range(geom2.n) if geom2.point_in_solid(p, 0)]
-    prof = geom2.intersection_profile(k, 1)
+    prof = line_profile(geom2, k)
     assert set(prof) == {1, 3}

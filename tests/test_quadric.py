@@ -106,6 +106,15 @@ def test_section_types_q2(geom2):
     assert s.kind == CONE and s.size == 7
 
 
+def test_section_type_accepts_numpy_index(geom2):
+    # np.flatnonzero and solids_through_point return numpy integers
+    f = canonical_q4(geom2.field)
+    for s in (3, geom2.solid_index[(0, 1, 0, 0, 0)]):
+        want = section_type(geom2, f, s)
+        assert section_type(geom2, f, np.int64(s)) == want
+        assert section_type(geom2, f, geom2.solids[s]) == want
+
+
 def test_classify_counts(geoms):
     expected = {2: (10, 6, 15), 4: (136, 120, 85), 8: (2080, 2016, 585)}
     for q, geom in geoms.items():

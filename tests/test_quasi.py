@@ -130,6 +130,15 @@ def test_switch_empty_replacement_invalid(geom2, quad2):
     assert not ok and witness[0] == "line"
 
 
+def test_switch_accepts_numpy_index(geom2):
+    # solids_through_point returns numpy integers
+    f = canonical_q4(geom2.field)
+    tangent = geom2.solids_through_point(geom2.point_index[nucleus(f)])[0]
+    assert isinstance(tangent, np.integer)
+    cand = switch(geom2, f, tangent, [])
+    assert cand == switch(geom2, f, int(tangent), []) == switch(geom2, f, geom2.solids[tangent], [])
+
+
 def test_switch_preconditions(geom2, quad2):
     f = canonical_q4(geom2.field)
     hyper = solids_meeting_in(geom2, sorted(quad2.points), 9)[0]
@@ -173,6 +182,17 @@ def test_exhaustive_q2_survivors(geom2):
             distinct.add(frozenset(zero_set(geom2, form)))
     assert {h.candidate.points for h in hits} == distinct
     assert len(hits) == len(distinct)
+
+
+def test_exhaustive_q2_codes_ascending(geom2):
+    # bit i of a survivor's choice code picks the larger point on line i
+    lines = geom2.nline_partition(geom2.point_index[SEARCH_NUCLEUS])
+    codes = [
+        sum(1 << i for i, line in enumerate(lines) if line[1] in h.candidate.points)
+        for h in exhaustive_search_q2(geom2)
+    ]
+    assert len(codes) == 448
+    assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 def test_quasi_solids_through_nucleus_forced(geom2):
@@ -269,7 +289,9 @@ def _stream_rows(quot, budget):
 def _assert_filter_is_definition(ref, quot, rows, mask):
     single = quot.passing_shifts(rows, 1)[:, 0]
     for row, passed, alone in zip(rows, mask, single):
-        points = sorted(quot.candidate_points(row))
+        values = quot.base.copy()
+        values[quot.w_ids] = row
+        points = sorted(quot.candidate_points(values))
         expected = ref.quasi_quadric_problem(points, SEARCH_NUCLEUS) is None
         assert passed == alone == expected
 
