@@ -386,9 +386,8 @@ def _decide(geom: Geometry, fam: tuple, report: Report) -> Verdict:
 
     sc = structure_counts(geom, fam, colors, partition=partition)
     red_planes = sc.plane_black[geom.pencil_sums(colors.red) > 0]
-    red_lines = geom.pencil_members(colors.black).sum(axis=1)[
-        geom.pencil_members(colors.red).any(axis=1)
-    ]
+    line_has_red = geom.pencil_members(colors.red).any(axis=1)
+    red_lines = geom.pencil_members(colors.black).sum(axis=1)[line_has_red]
     plane_fam = geom.pencil_members(fam).sum(axis=1)
     report.partition = {"h": len(fam), "e": len(elliptic_like), "t": len(tangent_like)}
     report.spectra["lines"] = histogram(geom.pencil_sums(fam))
