@@ -100,11 +100,7 @@ class GF:
         self.mul_table = mul
         self._mul = [[int(x) for x in row] for row in mul]
 
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            inv[a] = self._mul[a].index(1)
-        self.inv_table = inv
-        self._inv = [int(x) for x in inv]
+        self._inv = [0] + [self._mul[a].index(1) for a in range(1, q)]
 
         # Squaring is the Frobenius automorphism, hence a bijection; the
         # inverse map gives unique square roots.

@@ -22,6 +22,17 @@ canonical tuples, so (0,0,0,0,1) is index 0.  The subspace tables are in
 ascending lexicographic order of the flattened RREF.  Reports, file
 formats and tests reference these indices; the orders must not change.
 
+Point codes
+-----------
+The code of a vector v is sum_i v_i q^(4-i).  For q = 2^e that is five
+e-bit fields side by side, and field addition is XOR, so code(u + v) =
+code(u) XOR code(v).  A lazy q^5 table, filled from the q-1 nonzero
+multiples of every point, maps the code of each nonzero vector to its
+point index.  A plane with annihilator rows a and b has the pencil
+{b} ∪ {a + t*b : t in GF(q)}: one (M, q) table of code(t*b), XORed with
+code(a), then one lookup.  The subspace tables sort on the flattened
+RREF read as one base-q number.
+
 Incidence counts
 ----------------
 For a point set K let F(c) = sum_y (-1)^Tr(c.y), y over the nonzero
@@ -55,9 +66,9 @@ InconsistencyError.  A gather of a 0/1 indicator counts the solids of F
 on each plane, or the points of X on each line.
 
 All Geometry state is immutable once built; derived tables (subspace
-tables, incidence masks, the character table) are computed lazily but
-are pure functions of the field, so repeated or concurrent builds are
-harmless.
+tables, incidence masks, the character and point-code tables) are
+computed lazily but are pure functions of the field, so repeated or
+concurrent builds are harmless.
 """
 
 from __future__ import annotations
@@ -258,14 +269,11 @@ class Geometry:
         assert self.n == q**4 + q**3 + q**2 + q + 1
         self.point_index = {p: i for i, p in enumerate(self.points)}
         self.point_array = np.array(self.points, dtype=np.uint8)
-        # offset of the block of points whose first nonzero coordinate is j
-        self._offsets = tuple(
-            sum(q ** (4 - jj) for jj in range(j + 1, 5)) for j in range(5)
-        )
         self._solid_masks: list[int] | None = None
-        self._weights = q ** np.arange(4, -1, -1, dtype=np.int64)
+        self._weights = q ** np.arange(4, -1, -1, dtype=np.int32)
         self._chi: np.ndarray | None = None
         self._codes: np.ndarray | None = None
+        self._point_of_code: np.ndarray | None = None
         self._tables: dict[int, SubspaceTable] = {}
         self._pencils: np.ndarray | None = None
         self._nline_partitions: dict[int, tuple] = {}
@@ -280,18 +288,29 @@ class Geometry:
     def solid_index(self):
         return self.point_index
 
-    def num_subspaces(self, k: int) -> int:
-        return gaussian_binomial(5, k + 1, self.field.q)
+    # -- point codes -------------------------------------------------------
 
-    # -- index arithmetic ----------------------------------------------
+    def _scaled_codes(self, vecs: np.ndarray) -> np.ndarray:
+        """(N, q) int32: entry [i, t] is the code of t * vecs[i], for (N, 5) uint8 rows."""
+        # shifted[a, i, t]: the code of t * a placed at coordinate i
+        shifts = self.field.e * np.arange(4, -1, -1, dtype=np.int32)
+        shifted = self.field.mul_table.astype(np.int32)[:, None, :] << shifts[:, None]
+        out = shifted[vecs[:, 0], 0]
+        for i in range(1, 5):
+            out ^= shifted[vecs[:, i], i]
+        return out
 
-    def _ranks(self, arr: np.ndarray) -> np.ndarray:
-        """Vectorised index of canonical vectors, shape arr.shape[:-1]."""
-        q = self.field.q
-        s = arr.astype(np.int64) @ self._weights
-        j = np.argmax(arr != 0, axis=-1)
-        offs = np.array(self._offsets, dtype=np.int64)
-        return offs[j] + s - np.power(q, 4 - j)
+    def _points_by_code(self) -> np.ndarray:
+        """q^5 int32: the point index of each nonzero vector by its code, -1 at code 0."""
+        if self._point_of_code is None:
+            table = np.full(self.field.q**5, -1, dtype=np.int32)
+            table[self._scaled_codes(self.point_array)[:, 1:]] = np.arange(self.n)[:, None]
+            self._point_of_code = table
+        return self._point_of_code
+
+    def point_indices(self, vecs: np.ndarray) -> np.ndarray:
+        """Point index of each nonzero vector of a (..., 5) uint8 array, shape vecs.shape[:-1]."""
+        return self._points_by_code()[vecs @ self._weights]
 
     # -- incidence kernels ---------------------------------------------
 
@@ -314,13 +333,10 @@ class Geometry:
         how many of the given solids contain it; see "Incidence counts".
         """
         q = self.field.q
-        mt = self.field.mul_table
         chi, codes = self._characters()
         idx = np.asarray(list(point_indices), dtype=np.int64)
-        pts = self.point_array[idx]
         f = np.zeros(q**5, dtype=np.int32)
-        for t in range(1, q):
-            np.add.at(f, mt[pts, t].astype(np.int64) @ self._weights, 1)
+        np.add.at(f, self._scaled_codes(self.point_array[idx])[:, 1:], 1)
         for a in range(5):
             f = np.matmul(chi, f.reshape(q**a, q, q ** (4 - a)))
         num = len(idx) + f.reshape(-1)[codes]
@@ -362,13 +378,6 @@ class Geometry:
 
     # -- subspace enumeration --------------------------------------------
 
-    def _normalize_rows(self, arr: np.ndarray) -> np.ndarray:
-        """Vectorised left-normalisation of nonzero row vectors (..., 5)."""
-        lead_pos = np.argmax(arr != 0, axis=-1)
-        lead = np.take_along_axis(arr, lead_pos[..., None], axis=-1)[..., 0]
-        inv = self.field.inv_table[lead]
-        return self.field.mul_table[arr, inv[..., None]]
-
     def subspace_table(self, k: int) -> SubspaceTable:
         """Canonical sorted table of all lines (k=1) or planes (k=2), built once."""
         if k not in (1, 2):
@@ -377,23 +386,19 @@ class Geometry:
             return self._tables[k]
         q = self.field.q
         k1 = k + 1
-        blocks = []
-        ann_blocks = []
+        blocks, ann_blocks = [], []
         for pivots in combinations(range(5), k1):
             free_pos = [
-                (i, c)
-                for i in range(k1)
-                for c in range(5)
-                if c not in pivots and c > pivots[i]
+                (i, c) for i in range(k1) for c in range(pivots[i] + 1, 5) if c not in pivots
             ]
             nf = len(free_pos)
             count = q**nf
+            digits = np.indices((q,) * nf, dtype=np.uint8).reshape(nf, count)
             arr = np.zeros((count, k1, 5), dtype=np.uint8)
             for i in range(k1):
                 arr[:, i, pivots[i]] = 1
-            idx = np.arange(count)
-            for t, (i, c) in enumerate(free_pos):
-                arr[:, i, c] = (idx // q ** (nf - 1 - t)) % q
+            for (i, c), d in zip(free_pos, digits):
+                arr[:, i, c] = d
             free_cols = [c for c in range(5) if c not in pivots]
             ann = np.zeros((count, len(free_cols), 5), dtype=np.uint8)
             for t, f in enumerate(free_cols):
@@ -404,30 +409,30 @@ class Geometry:
             ann_blocks.append(ann)
         rr = np.concatenate(blocks)
         an = np.concatenate(ann_blocks)
-        order = np.lexsort(rr.reshape(len(rr), 5 * k1).T[::-1])
-        tab = SubspaceTable(k=k, rref=rr[order], ann_rows=self._normalize_rows(an[order]))
-        assert tab.size == self.num_subspaces(k)
+        # flattened-lex order: the row codes read as one number in base q^5
+        order = np.argsort((rr @ self._weights).astype(np.int64) @ q ** (5 * np.arange(k, -1, -1)))
+        ann_rows = self.point_array[self.point_indices(an[order])]
+        tab = SubspaceTable(k=k, rref=rr[order], ann_rows=ann_rows)
+        assert tab.size == gaussian_binomial(5, k1, q)
         self._tables[k] = tab
         return tab
 
     def plane_pencils(self) -> np.ndarray:
         """
-        (M, q+1) int32: for each plane, in table order, the sorted indices
-        of the q+1 solids containing it.  Read as point indices, row t is
-        the line ann(P_t); see "Pencil sums".
+        (M, q+1) int32: for each plane P_t, in plane-table order, the
+        ascending indices of the q+1 solids containing it, built from
+        the annihilator rows by point codes (see "Point codes").  Read as
+        point indices, row t is the line ann(P_t); see "Pencil sums".
         """
         if self._pencils is None:
             tab = self.subspace_table(2)
-            q = self.field.q
-            mt = self.field.mul_table
-            a = tab.ann_rows[:, 0, :]
-            b = tab.ann_rows[:, 1, :]
-            vecs = np.empty((tab.size, q + 1, 5), dtype=np.uint8)
-            vecs[:, 0] = b
-            for t in range(q):
-                vecs[:, 1 + t] = a ^ mt[b, t]
-            members = self._ranks(self._normalize_rows(vecs))
-            self._pencils = np.sort(members, axis=1).astype(np.int32)
+            # row t: the codes of b and of a + s*b, s in GF(q), for ann rows (a, b)
+            codes = np.empty((tab.size, self.field.q + 1), dtype=np.int32)
+            codes[:, 1:] = self._scaled_codes(tab.ann_rows[:, 1])
+            codes[:, 0] = codes[:, 2]
+            codes[:, 1:] ^= (tab.ann_rows[:, 0] @ self._weights)[:, None]
+            self._pencils = self._points_by_code()[codes]
+            self._pencils.sort(axis=1)
         return self._pencils
 
     def pencil_sums(self, indices) -> np.ndarray:
@@ -464,7 +469,7 @@ class Geometry:
             others = np.delete(np.arange(self.n), point_idx)
             pts = self.point_array[others]
             meet = pts ^ self.field.mul_table[pts[:, j, None], npt[None, :]]
-            keys = self._ranks(self._normalize_rows(meet))
+            keys = self.point_indices(meet)
             lines = others[np.lexsort((others, keys))].reshape(-1, self.field.q)
             lines = lines[np.argsort(lines[:, 0])]
             self._nline_partitions[point_idx] = tuple(map(tuple, lines.tolist()))

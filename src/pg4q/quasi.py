@@ -258,8 +258,7 @@ class _Quotient:
     def candidate_points(self, values: np.ndarray) -> frozenset:
         """Point indices of the transversal with value values[i] at quotient point i."""
         vecs = np.concatenate([values[:, None], self.us], axis=1)
-        geom = self.geom
-        return frozenset(geom._ranks(geom._normalize_rows(vecs)).tolist())
+        return frozenset(self.geom.point_indices(vecs).tolist())
 
 
 def _digits(codes: np.ndarray, q: int, width: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Geometry of PG(4,q): enumeration, canonical forms, incidence."""
 
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -38,10 +39,11 @@ def test_points_canonical_and_unique(geom4):
         seen.add(p)
 
 
-def test_rank_roundtrip(geom4):
-    arr = geom4.point_array
-    ranks = geom4._ranks(arr)
-    assert list(ranks) == list(range(geom4.n))
+def test_point_indices_of_every_vector(geom4):
+    # all 4^5 - 1 nonzero vectors map to the index of their normalised point
+    vecs = np.array(list(product(range(4), repeat=5))[1:], dtype=np.uint8)
+    expected = [geom4.point_index[normalize(geom4.field, v)] for v in vecs.tolist()]
+    assert geom4.point_indices(vecs).tolist() == expected
 
 
 def test_subspace_counts(geom2, geom4):
@@ -276,14 +278,28 @@ def test_annihilator_table(geom2):
         assert all((m >> p) & 1 for p in pts)
 
 
-def test_plane_pencils(geom2, reference_space):
+def test_plane_pencils(geom2, geom4, geom8, reference_space):
     # the pencil of a plane: the solids whose covector annihilates all
     # three of its RREF rows
-    ref = reference_space(2)
-    rows = geom2.subspace_table(2).rref
-    on = (ref.dots(ref.points, rows.reshape(-1, 5)) == 0).reshape(geom2.n, len(rows), 3)
-    expected = [np.flatnonzero(col).tolist() for col in on.all(axis=2).T]
-    assert geom2.plane_pencils().tolist() == expected
+    for geom in (geom2, geom4):
+        ref = reference_space(geom.field.q)
+        rows = geom.subspace_table(2).rref
+        on = (ref.dots(ref.points, rows.reshape(-1, 5)) == 0).reshape(geom.n, len(rows), 3)
+        expected = [np.flatnonzero(col).tolist() for col in on.all(axis=2).T]
+        assert geom.plane_pencils().tolist() == expected
+    # q=8, row by row: q+1 distinct ascending solids, each annihilating the
+    # RREF rows of the plane in the same table row, and no row repeated
+    ref = reference_space(8)
+    pencils = geom8.plane_pencils()
+    assert pencils.shape == (geom8.subspace_table(2).size, 9)
+    assert (np.diff(pencils, axis=1) > 0).all()
+    solids = ref.points[pencils][:, :, None, :]
+    rows = geom8.subspace_table(2).rref[:, None, :, :]
+    acc = ref.mul[solids[..., 0], rows[..., 0]]
+    for i in range(1, 5):
+        acc ^= ref.mul[solids[..., i], rows[..., i]]
+    assert not acc.any()
+    assert len(np.unique(pencils, axis=0)) == len(pencils)
 
 
 def test_nline_partition(geom2, geom4):
