@@ -63,10 +63,10 @@ def write_family_file(path, field: GF, kind: str, records, nucleus=None) -> None
     parts = [HEADER_TAG, f"q={field.q}", f"mod={field.modulus}", f"kind={kind}"]
     if nucleus is not None:
         parts.append("nucleus=" + ",".join(str(x) for x in nucleus))
-    lines = [" ".join(parts)]
-    lines += [" ".join(str(x) for x in rec) for rec in records]
+    flat = tuple(x for rec in records for x in rec)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(" ".join(parts) + "\n")
+        fh.write(("%d %d %d %d %d\n" * len(records)) % flat)
 
 
 def read_family_file(path) -> FamilyFile:

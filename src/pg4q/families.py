@@ -259,12 +259,11 @@ def structure_counts(
         black_hist[label] = histogram(vals)
 
     plane_black = geom.pencil_sums(colors.black)
+    # per solid, sums over its planes: one bincount per pencil column (exact in float64)
     pencils = geom.plane_pencils()
-    reps = pencils.shape[1]
-    sum1 = np.zeros(geom.n, dtype=np.int64)
-    sum2 = np.zeros(geom.n, dtype=np.int64)
-    np.add.at(sum1, pencils.ravel(), np.repeat(plane_black, reps))
-    np.add.at(sum2, pencils.ravel(), np.repeat(plane_black * (plane_black - 1), reps))
+    pairs = plane_black * (plane_black - 1)
+    sum1 = sum(np.bincount(c, weights=plane_black, minlength=geom.n) for c in pencils.T)
+    sum2 = sum(np.bincount(c, weights=pairs, minlength=geom.n) for c in pencils.T)
     t1 = (q + 1) ** 2 * (q * q + q + 1)
     t2 = (q + 1) ** 3 * (q * q + 2 * q)
     identities.append(_count_identity("plane-black-sum-per-family-solid", sum1[list(fam)], t1))

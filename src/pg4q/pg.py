@@ -18,9 +18,11 @@ Representations
 Enumeration orders (frozen)
 ---------------------------
 Points and solids are listed in ascending lexicographic order of their
-canonical tuples, so (0,0,0,0,1) is index 0.  The subspace tables are in
-ascending lexicographic order of the flattened RREF.  Reports, file
-formats and tests reference these indices; the orders must not change.
+canonical tuples, so (0,0,0,0,1) is index 0: the pivot blocks
+(0,...,0,1,free...) for pivot 4, 3, 2, 1, 0, each ascending in its free
+coordinates.  Subspace tables are in ascending lexicographic order of
+the flattened RREF.  Reports, file formats and tests reference these
+indices; the orders must not change.
 
 Point codes
 -----------
@@ -39,12 +41,16 @@ For a point set K let F(c) = sum_y (-1)^Tr(c.y), y over the nonzero
 multiples of the points of K, Tr(z) = z + z^2 + ... + z^(q/2).  Since
 sum_{t in GF(q)} (-1)^Tr(t*a) = q*[a = 0], every covector c has
 q * #{x in K : c.x = 0} = |K| + F(c), and a value that q does not
-divide raises InconsistencyError.  F is the multiples' 0/1 indicator
-transformed along each of the 5 coordinates by the q x q table
-chi[a, b] = (-1)^Tr(ab): 5q^6 multiply-adds (84M at q=16) instead of a
-points x solids table of dot products.  The dot product is symmetric,
-so one transform counts both the points of K in each solid and the
-solids of K through each point.
+divide raises InconsistencyError.  F is the multiples' indicator, with
+multiplicity, transformed along each of the 5 coordinates by the q x q
+table chi[a, b] = (-1)^Tr(ab): 5q^6 multiply-adds (84M at q=16).  Each
+step is one float32 GEMM chi @ f.reshape(q, q^4), copied back with that
+coordinate moved last; five steps restore the axis order.  A partial
+sum is a signed sum of distinct indicator entries, at most (q-1)|K| in
+size, so float32 is exact below 2^24 and a larger call raises ValueError
+before allocating (the whole space at q=16 gives 1,048,575).  The dot
+product is symmetric, so one transform counts both the points of K in
+each solid and the solids of K through each point.
 
 Pencil sums
 -----------
@@ -211,20 +217,17 @@ def projective_span_points(field: GF, rows):
     return out
 
 
-def enumerate_points(field: GF):
-    """
-    Every canonical point of PG(4,q) exactly once, ascending
-    lexicographic; (0,0,0,0,1) is first.
-    """
+def enumerate_points(field: GF) -> np.ndarray:
+    """Every canonical point of PG(4,q) once, as an (n, 5) uint8 array in ascending lex order."""
     q = field.q
-    pts = []
-    for vec in product(range(q), repeat=5):
-        for x in vec:
-            if x:
-                if x == 1:
-                    pts.append(vec)
-                break
-    return tuple(pts)
+    blocks = []
+    for pivot in range(4, -1, -1):
+        nf = 4 - pivot
+        block = np.zeros((q**nf, 5), dtype=np.uint8)
+        block[:, pivot] = 1
+        block[:, pivot + 1 :] = np.indices((q,) * nf, dtype=np.uint8).reshape(nf, q**nf).T
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def histogram(values) -> Counter:
@@ -264,11 +267,11 @@ class Geometry:
     def __init__(self, field: GF):
         self.field = field
         q = field.q
-        self.points = enumerate_points(field)
+        self.point_array = enumerate_points(field)
+        self.points = tuple(map(tuple, self.point_array.tolist()))
         self.n = len(self.points)
         assert self.n == q**4 + q**3 + q**2 + q + 1
         self.point_index = {p: i for i, p in enumerate(self.points)}
-        self.point_array = np.array(self.points, dtype=np.uint8)
         self._solid_masks: list[int] | None = None
         self._weights = q ** np.arange(4, -1, -1, dtype=np.int32)
         self._chi: np.ndarray | None = None
@@ -315,14 +318,14 @@ class Geometry:
     # -- incidence kernels ---------------------------------------------
 
     def _characters(self):
-        """chi[a, b] = (-1)^Tr(ab) as int32 and the base-q point codes, built on first use."""
+        """chi[a, b] = (-1)^Tr(ab) as float32 and the base-q point codes, built on first use."""
         if self._chi is None:
             mt = self.field.mul_table
             tr = z = np.arange(self.field.q)
             for _ in range(self.field.e - 1):
                 z = mt[z, z]
                 tr = tr ^ z
-            self._chi = (1 - 2 * tr[mt]).astype(np.int32)
+            self._chi = (1 - 2 * tr[mt]).astype(np.float32)
             self._codes = self.point_array.astype(np.int64) @ self._weights
         return self._chi, self._codes
 
@@ -330,20 +333,25 @@ class Geometry:
         """
         For each solid, how many of the given points it contains, with
         multiplicity.  By duality the same call gives, for each point,
-        how many of the given solids contain it; see "Incidence counts".
+        how many of the given solids contain it; see "Incidence counts"
+        for the ValueError at (q-1)|K| >= 2^24.
         """
         q = self.field.q
-        chi, codes = self._characters()
         idx = np.asarray(list(point_indices), dtype=np.int64)
-        f = np.zeros(q**5, dtype=np.int32)
+        if (q - 1) * len(idx) >= 2**24:
+            raise ValueError(f"{len(idx)} indices exceed the exact float32 range at q={q}")
+        chi, codes = self._characters()
+        f = np.zeros(q**5, dtype=np.float32)
         np.add.at(f, self._scaled_codes(self.point_array[idx])[:, 1:], 1)
-        for a in range(5):
-            f = np.matmul(chi, f.reshape(q**a, q, q ** (4 - a)))
-        num = len(idx) + f.reshape(-1)[codes]
+        buf = np.empty((q, q**4), dtype=np.float32)
+        for _ in range(5):
+            np.matmul(chi, f.reshape(q, -1), out=buf)
+            np.copyto(f.reshape(-1, q), buf.T)
+        num = len(idx) + f[codes].astype(np.int64)
         bad = np.flatnonzero(num % q)
         if len(bad):
             raise InconsistencyError(f"character sum at covector {bad[0]} is not divisible by q")
-        return (num // q).astype(np.int64)
+        return num // q
 
     incidence_counts_per_point = incidence_counts_per_solid
 
@@ -443,7 +451,9 @@ class Geometry:
         """
         q = self.field.q
         idx = np.unique(np.asarray(list(indices), dtype=np.int64))
-        num = self.incidence_counts_per_solid(idx)[self.plane_pencils()].sum(axis=1) - len(idx)
+        counts = self.incidence_counts_per_solid(idx)
+        # one pencil column at a time, so no (M, q+1) gather is made
+        num = sum(counts[c] for c in self.plane_pencils().T) - len(idx)
         bad = np.flatnonzero(num % q)
         if len(bad):
             raise InconsistencyError(f"pencil sum of plane {bad[0]} is not divisible by q")

@@ -137,7 +137,7 @@ def evaluate_all(geom: Geometry, form: QuadraticForm) -> np.ndarray:
 
 def zero_set(geom: Geometry, form: QuadraticForm):
     """Sorted indices of the points where the form vanishes."""
-    return tuple(int(i) for i in np.nonzero(evaluate_all(geom, form) == 0)[0])
+    return tuple(np.nonzero(evaluate_all(geom, form) == 0)[0].tolist())
 
 
 def _polar_matrix(form: QuadraticForm):
@@ -233,9 +233,9 @@ def classify_all_solids(geom: Geometry, form: QuadraticForm) -> SolidClasses:
     if not np.array_equal(tangent, through_n):
         raise InconsistencyError("cone solids differ from the solids through the nucleus")
     return SolidClasses(
-        hyperbolic=tuple(int(i) for i in hyperbolic),
-        elliptic=tuple(int(i) for i in elliptic),
-        tangent=tuple(int(i) for i in tangent),
+        hyperbolic=tuple(hyperbolic.tolist()),
+        elliptic=tuple(elliptic.tolist()),
+        tangent=tuple(tangent.tolist()),
     )
 
 

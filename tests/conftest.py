@@ -23,6 +23,11 @@ def geom8():
 
 
 @pytest.fixture(scope="session")
+def geom16():
+    return Geometry(GF(4))
+
+
+@pytest.fixture(scope="session")
 def geoms(geom2, geom4, geom8):
     return {2: geom2, 4: geom4, 8: geom8}
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from pg4q import cli
@@ -45,6 +46,25 @@ def test_export_deterministic(tmp_path):
     run(["export", "--q", 2, "--what", "hyperbolic", "--out", a])
     run(["export", "--q", 2, "--what", "hyperbolic", "--out", b])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_family_file_matches_reference(tmp_path, geoms, reference_space):
+    out = tmp_path / "fam.txt"
+    for q, geom in geoms.items():
+        ref = reference_space(q)
+        rng = np.random.default_rng(q)
+        for size in (0, 1, geom.n // 3):
+            idx = np.sort(rng.choice(geom.n, size, replace=False))
+            nucleus = geom.points[-1]
+            cases = [
+                ("points", [geom.points[i] for i in idx], nucleus),
+                ("solids", [geom.solids[i] for i in idx], None),
+                ("points", list(geom.point_array[idx]), np.array(nucleus, dtype=np.uint8)),
+                ("solids", list(geom.point_array[idx].astype(np.int64)), None),
+            ]
+            for kind, records, nuc in cases:
+                write_family_file(out, geom.field, kind, records, nucleus=nuc)
+                assert out.read_bytes() == ref.family_bytes(kind, idx, nuc)
 
 
 def test_characterize_round_trip(tmp_path):

@@ -128,8 +128,53 @@ def test_incidence_count_kernels(geoms, reference_space):
             assert np.array_equal(geom.incidence_counts_per_point(idx), expected)
 
 
-def test_incidence_counts_q16_quadric(reference_space):
-    geom = Geometry(GF(4))
+def test_point_enumeration_q16(geom16, reference_space):
+    assert np.array_equal(geom16.point_array, reference_space(16).points)
+    assert geom16.n == 69905
+    for i, p in enumerate(geom16.points):
+        assert p == tuple(geom16.point_array[i])
+        assert geom16.point_index[p] == i
+    assert len(geom16.point_index) == geom16.n
+
+
+def test_incidence_counts_whole_space_q16(geom16):
+    # (q-1)|K| = 1,048,575: the largest value any caller passes
+    counts = geom16.incidence_counts_per_solid(range(geom16.n))
+    assert counts.dtype == np.int64
+    assert set(counts.tolist()) == {16**3 + 16**2 + 16 + 1}
+
+
+def test_incidence_counts_duplicates(geoms, reference_space):
+    for q in (4, 8):
+        geom, ref = geoms[q], reference_space(q)
+        rng = np.random.default_rng(100 + q)
+        idx = rng.choice(geom.n, geom.n // 3, replace=False)
+        twice = np.concatenate([idx, idx])
+        expected = ref.incidences(ref.points, ref.points[idx])
+        assert np.array_equal(geom.incidence_counts_per_solid(twice), 2 * expected)
+        some = np.concatenate([idx, idx[: len(idx) // 2]])
+        assert np.array_equal(
+            geom.incidence_counts_per_solid(some), ref.incidences(ref.points, ref.points[some])
+        )
+
+
+def test_incidence_counts_float32_range(geom16):
+    # 16 copies of the whole space and one more point: (q-1)|K| = 2^24 - 1,
+    # the largest multiplicity the float32 transform accepts
+    extra = 12345
+    idx = np.concatenate([np.tile(np.arange(geom16.n), 16), [extra]])
+    assert 15 * len(idx) == 2**24 - 1
+    counts = geom16.incidence_counts_per_solid(idx)
+    expected = np.full(geom16.n, 16 * 4369)
+    expected[geom16.solids_through_point(extra)] += 1
+    assert np.array_equal(counts, expected)
+    # one index more, (q-1)|K| = 2^24 + 14, is refused before any transform runs
+    with pytest.raises(ValueError):
+        geom16.incidence_counts_per_solid(np.append(idx, extra))
+
+
+def test_incidence_counts_q16_quadric(geom16, reference_space):
+    geom = geom16
     q = 16
     zeros = zero_set(geom, canonical_q4(geom.field))
     counts = geom.incidence_counts_per_solid(zeros)
