@@ -15,7 +15,6 @@ from .quadric import (
     classify_all_solids,
     line_profile,
     nucleus,
-    section_type,
     zero_set,
 )
 from .families import (
@@ -27,7 +26,6 @@ from .families import (
     check_condition_II,
     fit_quadratic_form,
     partition_solids,
-    plane_spectrum,
     point_incidence_counts,
     solid_spectrum,
     structure_counts,
@@ -40,7 +38,6 @@ from .quasi import (
     is_quasi_quadric,
     search_quasi,
     solids_meeting_in,
-    switch,
     verify_converse_lemma,
 )
 

@@ -15,7 +15,8 @@ the family size and a "p/q" string otherwise.
 
 Exit codes: 0 success / accepted, 1 rejected (ViolatesI, failed quasi
 check, or a search survivor without a quadratic fit), 2 bad arguments,
-malformed input or not enough memory, 3 internal inconsistency.
+malformed input, an unwritable output path or not enough memory,
+3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -248,20 +249,14 @@ def cmd_characterize(args) -> int:
 def cmd_export(args) -> int:
     geom = _geometry(args.q, args.modulus)
     form = canonical_q4(geom.field)
-    try:
-        if args.what == "quadric":
-            records = [geom.points[i] for i in zero_set(geom, form)]
-            write_family_file(
-                args.out, geom.field, "points", records, nucleus=nucleus(form)
-            )
-        else:
-            classes = classify_all_solids(geom, form)
-            fam = getattr(classes, args.what)
-            records = [geom.solids[i] for i in fam]
-            write_family_file(args.out, geom.field, "solids", records)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    if args.what == "quadric":
+        records = [geom.points[i] for i in zero_set(geom, form)]
+        write_family_file(args.out, geom.field, "points", records, nucleus=nucleus(form))
+    else:
+        classes = classify_all_solids(geom, form)
+        fam = getattr(classes, args.what)
+        records = [geom.solids[i] for i in fam]
+        write_family_file(args.out, geom.field, "solids", records)
     return 0
 
 
@@ -364,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2, choices=(2, 4, 8))
     p.add_argument("--modulus", type=int, default=None)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--strategy", default="switching", choices=("switching", "random-restart"))
+    p.add_argument("--strategy", default="switching", choices=("switching",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=20000)
     p.add_argument("--json", default=None)
@@ -386,6 +381,10 @@ def main(argv=None) -> int:
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # each command reports its own read errors, so this is a failed write
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     except MemoryError:
         print("out of memory: this input needs more memory than is available", file=sys.stderr)
         return 2

@@ -50,7 +50,6 @@ __all__ = [
     "check_condition_II",
     "partition_solids",
     "structure_counts",
-    "plane_spectrum",
     "solid_spectrum",
     "fit_quadratic_form",
     "characterize",
@@ -131,7 +130,7 @@ def point_incidence_counts(geom: Geometry, solids) -> np.ndarray:
     fam = _normalize_family(geom, solids)
     if not fam:
         return np.zeros(geom.n, dtype=np.int64)
-    return geom.incidence_counts_per_point(fam)
+    return geom.incidence_counts_per_solid(fam)
 
 
 def check_condition_I(geom: Geometry, solids) -> ColorMap:
@@ -272,11 +271,6 @@ def structure_counts(
     )
 
     return StructureCounts(h, tuple(identities), partition, solid_black, black_hist, plane_black)
-
-
-def plane_spectrum(geom: Geometry, point_indices) -> Counter:
-    """Histogram of |K ∩ P| over all planes P."""
-    return histogram(geom.pencil_sums(point_indices))
 
 
 def solid_spectrum(geom: Geometry, point_indices) -> Counter:

@@ -79,7 +79,6 @@ concurrent builds are harmless.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -95,7 +94,6 @@ __all__ = [
     "gaussian_binomial",
     "enumerate_points",
     "normalize",
-    "dot",
     "dots",
     "rref",
     "null_space",
@@ -119,14 +117,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
-
-
-def dot(field: GF, u, v) -> int:
-    mul = field._mul
-    acc = 0
-    for a, b in zip(u, v):
-        acc ^= mul[a][b]
-    return acc
 
 
 def dots(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -353,17 +343,9 @@ class Geometry:
             raise InconsistencyError(f"character sum at covector {bad[0]} is not divisible by q")
         return num // q
 
+    # the same kernel under its dual name; only perfbench's
+    # pg.incidence_counts_per_point probe reads it
     incidence_counts_per_point = incidence_counts_per_solid
-
-    def as_solid_index(self, solid) -> int:
-        """A solid given by index (any integer type) or by canonical covector, as its index."""
-        try:
-            return operator.index(solid)
-        except TypeError:
-            return self.solid_index[tuple(solid)]
-
-    def point_in_solid(self, point_idx: int, solid_idx: int) -> bool:
-        return dot(self.field, self.points[point_idx], self.points[solid_idx]) == 0
 
     def solids_through_point(self, point_idx: int) -> np.ndarray:
         pt = self.point_array[point_idx : point_idx + 1]

@@ -1,6 +1,6 @@
 """
 Quadratic forms on GF(q)^5, the parabolic quadric Q(4,q), its nucleus,
-and the classification of solid sections by size.
+and the partition of the solids by their sections.
 
 A form is stored as 15 coefficients c_ij (0 <= i <= j <= 4) with
 f(x) = sum c_ij x_i x_j.  Since f(t*x) = t^2 f(x), vanishing is well
@@ -10,17 +10,17 @@ form has a one-dimensional radical whose point N (the nucleus) is off
 the quadric, and the solids through N are exactly those meeting the
 quadric in a cone.
 
-The sections of solids are classified by cardinality: (q+1)^2 hyperbolic,
-q^2+1 elliptic, q^2+q+1 cone.  Any other size is reported as "other"
-and only arises for degenerate forms or arbitrary point sets; the
-nucleus criterion cross-checks the cone class.
+``classify_all_solids`` counts the zero set in every solid with one
+incidence kernel call and splits the solids by section size: (q+1)^2
+hyperbolic, q^2+1 elliptic, q^2+q+1 tangent (a cone).  A non-singular
+parabolic form has no other size, so any other count raises, and the
+tangent class must be exactly the solids through the nucleus.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from random import Random
 
 import numpy as np
 
@@ -42,28 +42,15 @@ __all__ = [
     "evaluate_all",
     "zero_set",
     "nucleus",
-    "Section",
-    "HYPERBOLIC",
-    "ELLIPTIC",
-    "CONE",
-    "OTHER",
-    "section_type",
     "SolidClasses",
     "classify_all_solids",
     "apply_collineation",
-    "random_invertible_matrix",
     "line_profile",
 ]
 
 # Coefficient order used everywhere, including serialisation.
 MONOMIALS = tuple((i, j) for i in range(5) for j in range(i, 5))
 _MONO_INDEX = {m: t for t, m in enumerate(MONOMIALS)}
-
-HYPERBOLIC = "hyperbolic"
-ELLIPTIC = "elliptic"
-CONE = "cone"
-OTHER = "other"
-
 
 class NotParabolicError(ValueError):
     """The form is not a non-singular parabolic quadratic form."""
@@ -165,41 +152,6 @@ def nucleus(form: QuadraticForm):
 
 
 @dataclass(frozen=True)
-class Section:
-    kind: str
-    size: int
-
-
-def _kind_of_size(q: int, size: int) -> str:
-    if size == (q + 1) ** 2:
-        return HYPERBOLIC
-    if size == q * q + 1:
-        return ELLIPTIC
-    if size == q * q + q + 1:
-        return CONE
-    return OTHER
-
-
-def section_type(geom: Geometry, form: QuadraticForm, solid) -> Section:
-    """
-    Classify the solid section of the form's zero set by its size.
-    ``solid`` may be a solid index or a canonical covector tuple.
-    """
-    sidx = geom.as_solid_index(solid)
-    size = sum(geom.point_in_solid(p, sidx) for p in zero_set(geom, form))
-    kind = _kind_of_size(geom.field.q, size)
-    try:
-        n_idx = geom.point_index[nucleus(form)]
-    except NotParabolicError:
-        return Section(kind, size)
-    if (kind == CONE) != geom.point_in_solid(n_idx, sidx):
-        raise InconsistencyError(
-            f"solid {sidx}: section size {size} contradicts the nucleus criterion"
-        )
-    return Section(kind, size)
-
-
-@dataclass(frozen=True)
 class SolidClasses:
     """Partition of all solids by section type, as sorted index tuples."""
 
@@ -266,16 +218,6 @@ def apply_collineation(form: QuadraticForm, m) -> QuadraticForm:
                 if cross:
                     new[_MONO_INDEX[(k, l)]] ^= mul[c][cross]
     return QuadraticForm(field, new)
-
-
-def random_invertible_matrix(field: GF, rng: Random):
-    """A uniformly sampled invertible 5x5 matrix (rejection sampling)."""
-    q = field.q
-    while True:
-        m = tuple(tuple(rng.randrange(q) for _ in range(5)) for _ in range(5))
-        red, _ = rref(field, m)
-        if len(red) == 5:
-            return m
 
 
 def line_profile(geom: Geometry, point_indices) -> Counter:

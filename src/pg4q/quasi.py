@@ -1,5 +1,5 @@
 """
-Quasi-quadrics: predicate, switching construction, and search.
+Quasi-quadrics: predicate, switching search, and the converse count.
 
 A candidate is a point set K with a distinguished nucleus N.  It is a
 (parabolic) quasi-quadric when every line through N meets K exactly
@@ -37,13 +37,12 @@ instead of q^3 * |W| compares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
 import numpy as np
 
 from .families import fit_quadratic_form
 from .pg import Geometry, InconsistencyError, dots, normalize
-from .quadric import QuadraticForm, nucleus, zero_set
+from .quadric import QuadraticForm
 
 __all__ = [
     "QuasiCandidate",
@@ -52,7 +51,6 @@ __all__ = [
     "is_quasi_quadric",
     "solids_meeting_in",
     "verify_converse_lemma",
-    "switch",
     "exhaustive_search_q2",
     "search_quasi",
 ]
@@ -129,46 +127,25 @@ def verify_converse_lemma(geom: Geometry, cand: QuasiCandidate) -> ConverseCount
     if not ok:
         raise ValueError(f"candidate is not a quasi-quadric: {witness}")
     fam = solids_meeting_in(geom, cand.points, (q + 1) ** 2)
-    counts = geom.incidence_counts_per_point(fam)
+    counts = geom.incidence_counts_per_solid(fam)
     n_idx = geom.point_index[normalize(geom.field, cand.nucleus)]
     member_t = (q**3 + q**2) // 2
     other_t = q**3 // 2
-    for i in range(geom.n):
-        c = int(counts[i])
-        if i == n_idx:
-            if c != 0:
-                raise InconsistencyError(f"nucleus lies in {c} secant solids")
-        elif i in cand.points:
-            if c != member_t:
-                raise InconsistencyError(f"member point {i} lies in {c} != {member_t}")
-        elif c != other_t:
-            raise InconsistencyError(f"point {i} lies in {c} != {other_t}")
+    member = np.zeros(geom.n, dtype=bool)
+    member[list(cand.points)] = True
+    expected = np.where(member, member_t, other_t)
+    expected[n_idx] = 0
+    bad = np.flatnonzero(counts != expected)
+    if len(bad):
+        i = int(bad[0])
+        kind = "nucleus" if i == n_idx else "member point" if member[i] else "point"
+        raise InconsistencyError(f"{kind} {i} lies in {counts[i]} != {expected[i]} secant solids")
     return ConverseCounts(
         family_size=len(fam),
         member_count=member_t,
         nonmember_count=other_t,
         nucleus_count=0,
     )
-
-
-def switch(geom: Geometry, form: QuadraticForm, tangent, replacement) -> QuasiCandidate:
-    """
-    Replace the quadric's section of one tangent solid by an arbitrary
-    subset of that solid.  The result is only a candidate: validity is
-    not guaranteed and callers must run is_quasi_quadric.
-    """
-    n_pt = nucleus(form)
-    n_idx = geom.point_index[n_pt]
-    t_idx = geom.as_solid_index(tangent)
-    if not geom.point_in_solid(n_idx, t_idx):
-        raise ValueError("the chosen solid does not contain the nucleus")
-    repl = {int(i) for i in replacement}
-    if n_idx in repl:
-        raise ValueError("replacement must not contain the nucleus")
-    if any(not (0 <= i < geom.n and geom.point_in_solid(i, t_idx)) for i in repl):
-        raise ValueError("replacement must lie inside the tangent solid")
-    kept = [i for i in zero_set(geom, form) if not geom.point_in_solid(i, t_idx)]
-    return QuasiCandidate(points=frozenset(kept) | frozenset(repl), nucleus=n_pt)
 
 
 def exhaustive_search_q2(geom: Geometry):
@@ -294,40 +271,28 @@ def _switching_stream(quot: _Quotient, budget: int):
         yield field.sqrt_table[vals], shifts
 
 
-def _random_stream(quot: _Quotient, seed: int, budget: int):
-    rng = Random(seed)
-    q = quot.field.q
-    nw = quot.w_pts.shape[0]
-    yield quot.base_w[None, :], 1
-    for lo in range(1, budget, 1024):
-        rows = [[rng.randrange(q) for _ in range(nw)] for _ in range(min(1024, budget - lo))]
-        yield np.array(rows, dtype=np.uint8), 1
-
-
 def search_quasi(geom: Geometry, strategy: str, seed: int = 0, budget: int = 20000):
     """
     Budget-bounded search for quasi-quadrics at q in {4, 8} by replacing
     the canonical quadric's section of one tangent solid.  Every
     returned candidate is re-verified from scratch by is_quasi_quadric
     and labelled with a fitted form (None marks a non-quadric example).
-    Deterministic for a given (strategy, seed, budget); an empty result
-    just means the budget ran out.
+    The only strategy is "switching"; any other raises ValueError.  The
+    result is a function of the budget alone: ``seed`` has no effect and
+    is kept so callers can pass it through.  An empty result just means
+    the budget ran out.
     """
     q = geom.field.q
     if q not in (4, 8):
         raise ValueError("search supports q = 4 and q = 8")
-    quot = _Quotient(geom)
-    if strategy == "switching":
-        stream = _switching_stream(quot, budget)
-    elif strategy == "random-restart":
-        stream = _random_stream(quot, seed, budget)
-    else:
+    if strategy != "switching":
         raise ValueError(f"unknown strategy {strategy!r}")
+    quot = _Quotient(geom)
     hits = []
     seen_rows = set()
     evaluated = 0
     lin = quot.w_linear_values
-    for bases, shifts in stream:
+    for bases, shifts in _switching_stream(quot, budget):
         mask = quot.passing_shifts(bases, shifts)
         for b, s in zip(*np.nonzero(mask)):
             if evaluated + b * shifts + s >= budget:

@@ -4,7 +4,17 @@ from pathlib import Path
 import pytest
 
 from pg4q.gf import GF
-from pg4q.pg import Geometry
+from pg4q.pg import Geometry, rref
+
+
+def random_invertible_matrix(field, rng):
+    """A uniformly sampled invertible 5x5 matrix over the field (rejection sampling)."""
+    q = field.q
+    while True:
+        m = tuple(tuple(rng.randrange(q) for _ in range(5)) for _ in range(5))
+        red, _ = rref(field, m)
+        if len(red) == 5:
+            return m
 
 
 @pytest.fixture(scope="session")

@@ -14,25 +14,24 @@ from random import Random
 
 import pytest
 
+from conftest import random_invertible_matrix
 from pg4q.families import (
     QUADRIC_VERDICT,
     VIOLATES_I,
     characterize,
     check_condition_I,
-    plane_spectrum,
     solid_spectrum,
     structure_counts,
     verify_hyperbolic_spectra,
 )
 from pg4q.gf import GF
-from pg4q.pg import Geometry, gaussian_binomial
+from pg4q.pg import Geometry, gaussian_binomial, histogram
 from pg4q.quadric import (
     apply_collineation,
     canonical_q4,
     classify_all_solids,
     line_profile,
     nucleus,
-    random_invertible_matrix,
     zero_set,
 )
 from pg4q.quasi import (
@@ -177,7 +176,7 @@ def test_criterion_8_recognizer_spectra(geoms):
     with criterion(8, "line/plane/solid spectra of the quadric"):
         for q, geom in geoms.items():
             z = zero_set(geom, canonical_q4(geom.field))
-            assert set(plane_spectrum(geom, z)) == {1, q + 1, 2 * q + 1}
+            assert set(histogram(geom.pencil_sums(z))) == {1, q + 1, 2 * q + 1}
             assert set(solid_spectrum(geom, z)) == {
                 q * q + 1, q * q + q + 1, (q + 1) ** 2,
             }

@@ -215,6 +215,36 @@ def test_quasi_search_q4_saves_find(tmp_path, capsys):
     assert run(["quasi", "check", "--points", out_file]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-lemma1", "--q", 2, "--json", "{bad}"],
+        ["characterize", "--family", "{fam}", "--json", "{bad}"],
+        ["export", "--q", 2, "--what", "hyperbolic", "--out", "{bad}"],
+        ["quasi", "check", "--points", "{pts}", "--json", "{bad}"],
+        ["quasi", "search", "--q", 4, "--budget", 1, "--json", "{bad}"],
+        ["quasi", "search", "--q", 4, "--budget", 1, "--out", "{bad}"],
+    ],
+    ids=["verify-lemma1-json", "characterize-json", "export-out", "check-json", "search-json",
+         "search-out"],
+)
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    fam, pts = tmp_path / "h2.txt", tmp_path / "q2.txt"
+    run(["export", "--q", 2, "--what", "hyperbolic", "--out", fam])
+    run(["export", "--q", 2, "--what", "quadric", "--out", pts])
+    bad = tmp_path / "missing" / "out.txt"
+    argv = [str(a).format(fam=fam, pts=pts, bad=bad) for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1 and "cannot write" in err
+
+
+def test_quasi_search_unknown_strategy_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        run(["quasi", "search", "--q", 4, "--strategy", "random-restart"])
+    assert exc.value.code == 2
+
+
 def test_family_file_validation(tmp_path):
     field = GF(1)
     path = tmp_path / "f.txt"

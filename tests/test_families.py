@@ -11,6 +11,7 @@ import pytest
 
 import pg4q.families as families_mod
 import pg4q.quasi as quasi_mod
+from conftest import random_invertible_matrix
 from pg4q.cli import report_json
 from pg4q.families import (
     INCONSISTENT,
@@ -21,14 +22,13 @@ from pg4q.families import (
     check_condition_II,
     fit_quadratic_form,
     partition_solids,
-    plane_spectrum,
     point_incidence_counts,
     solid_spectrum,
     structure_counts,
     verify_hyperbolic_spectra,
 )
 from pg4q.gf import GF
-from pg4q.pg import Geometry, InconsistencyError, null_space
+from pg4q.pg import Geometry, InconsistencyError, histogram, null_space
 from pg4q.quadric import (
     MONOMIALS,
     apply_collineation,
@@ -36,7 +36,6 @@ from pg4q.quadric import (
     classify_all_solids,
     nucleus,
     SolidClasses,
-    random_invertible_matrix,
     zero_set,
 )
 from pg4q.quasi import search_quasi, solids_meeting_in
@@ -90,7 +89,7 @@ def test_condition_I_family_minus_one(geom2, hyp2):
     colors = check_condition_I(geom2, tuple(s for s in hyp2.hyperbolic if s != dropped))
     # counts drop by one exactly on the removed solid's points
     violating = {p for p, _ in colors.violations}
-    on_dropped = {p for p in range(geom2.n) if geom2.point_in_solid(p, dropped)}
+    on_dropped = set(geom2.solids_through_point(dropped).tolist())  # points of a solid, by duality
     assert violating == on_dropped
 
 
@@ -167,9 +166,9 @@ def test_structure_counts_chain(geoms):
 def test_spectra_of_quadric(geom2):
     f = canonical_q4(geom2.field)
     z = zero_set(geom2, f)
-    assert set(plane_spectrum(geom2, z)) == {1, 3, 5}
+    assert set(histogram(geom2.pencil_sums(z))) == {1, 3, 5}
     assert set(solid_spectrum(geom2, z)) == {5, 7, 9}
-    assert plane_spectrum(geom2, []) == Counter({0: 155})
+    assert histogram(geom2.pencil_sums([])) == Counter({0: 155})
     assert solid_spectrum(geom2, [z[0]]) == Counter({0: 16, 1: 15})
 
 

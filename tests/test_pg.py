@@ -13,6 +13,7 @@ from pg4q.pg import (
     enumerate_points,
     dots,
     gaussian_binomial,
+    histogram,
     normalize,
     projective_span_points,
     rref,
@@ -255,14 +256,15 @@ def _line_of_pencil_row(geom):
 
 
 def test_family_point_masks(geom2, geom4):
-    from pg4q.families import check_condition_I, plane_spectrum
+    from pg4q.families import check_condition_I
     from pg4q.quadric import classify_all_solids
 
     fam = (0, 5, 17)
     masks = _family_point_masks(geom2, fam)
+    incident = dots(geom2.field, geom2.point_array, geom2.point_array[list(fam)]) == 0
     for p in range(geom2.n):
-        for j, s in enumerate(fam):
-            assert ((masks[p] >> j) & 1) == geom2.point_in_solid(p, s)
+        for j in range(len(fam)):
+            assert ((masks[p] >> j) & 1) == incident[p, j]
 
     # the six arrays of characterize against the oracle, plane by plane and
     # line by line, on the hyperbolic family, a one-solid perturbation and
@@ -292,10 +294,10 @@ def test_family_point_masks(geom2, geom4):
                 want_black, want_red = _oracle_black(geom, black, red, 1)
                 assert np.array_equal(got_black, want_black[line])
                 assert np.array_equal(got_red, want_red[line])
-                for k, profile in ((1, line_profile), (2, plane_spectrum)):  # duplicates count once
-                    assert profile(geom, list(black) * 2) == Counter(
-                        _oracle_black(geom, black, (), k)[0].tolist()
-                    )
+                twice = list(black) * 2  # duplicates count once
+                for k, spectrum in ((1, line_profile(geom, twice)),
+                                    (2, histogram(geom.pencil_sums(twice)))):
+                    assert spectrum == Counter(_oracle_black(geom, black, (), k)[0].tolist())
 
 
 def test_pencil_sums_divisibility_check():
@@ -303,8 +305,8 @@ def test_pencil_sums_divisibility_check():
     pencils = geom.plane_pencils().copy()
     stranger = next(s for s in range(geom.n) if s not in pencils[0])
     p = next(
-        p for p in range(geom.n)
-        if geom.point_in_solid(p, stranger) and not geom.point_in_solid(p, pencils[0][0])
+        p for p in geom.solids_through_point(stranger)  # points of a solid, by duality
+        if p not in geom.solids_through_point(pencils[0][0])
     )
     geom.pencil_sums([p])  # consistent before the corruption
     pencils[0][0] = stranger  # row 0 is no longer the pencil of a plane
@@ -377,6 +379,6 @@ def test_nline_partition_matches_span_oracle(geom2, geom4):
 
 def test_intersection_profile_solid_pointset(geom2):
     # lines meet a hyperplane in 1 or q+1 points, never 0
-    k = [p for p in range(geom2.n) if geom2.point_in_solid(p, 0)]
+    k = geom2.solids_through_point(0)  # the points of solid 0, by duality
     prof = line_profile(geom2, k)
     assert set(prof) == {1, 3}

@@ -5,10 +5,9 @@ from random import Random
 import numpy as np
 import pytest
 
+from conftest import random_invertible_matrix
 from pg4q.pg import normalize
 from pg4q.quadric import (
-    CONE,
-    HYPERBOLIC,
     NotParabolicError,
     QuadraticForm,
     apply_collineation,
@@ -16,8 +15,6 @@ from pg4q.quadric import (
     classify_all_solids,
     line_profile,
     nucleus,
-    random_invertible_matrix,
-    section_type,
     zero_set,
 )
 
@@ -98,21 +95,15 @@ def test_nucleus_maps_under_collineation(geom4, reference_space):
 
 def test_section_types_q2(geom2):
     f = canonical_q4(geom2.field)
+    c = classify_all_solids(geom2, f)
+    counts = geom2.incidence_counts_per_solid(zero_set(geom2, f))
     # solid x0 = 0 sections x1 x2 + x3 x4: 9 projective zeros by hand count
-    assert section_type(geom2, f, (1, 0, 0, 0, 0)).kind == HYPERBOLIC
-    assert section_type(geom2, f, (1, 0, 0, 0, 0)).size == 9
+    s = geom2.solid_index[(1, 0, 0, 0, 0)]
+    assert s in c.hyperbolic and counts[s] == 9
     # solid x1 = 0 sections x0^2 + x3 x4: 7 zeros, and contains the nucleus
-    s = section_type(geom2, f, (0, 1, 0, 0, 0))
-    assert s.kind == CONE and s.size == 7
-
-
-def test_section_type_accepts_numpy_index(geom2):
-    # np.flatnonzero and solids_through_point return numpy integers
-    f = canonical_q4(geom2.field)
-    for s in (3, geom2.solid_index[(0, 1, 0, 0, 0)]):
-        want = section_type(geom2, f, s)
-        assert section_type(geom2, f, np.int64(s)) == want
-        assert section_type(geom2, f, geom2.solids[s]) == want
+    s = geom2.solid_index[(0, 1, 0, 0, 0)]
+    assert s in c.tangent and counts[s] == 7
+    assert s in geom2.solids_through_point(geom2.point_index[nucleus(f)])
 
 
 def test_classify_counts(geoms):
