@@ -52,6 +52,7 @@ __all__ = [
 MONOMIALS = tuple((i, j) for i in range(5) for j in range(i, 5))
 _MONO_INDEX = {m: t for t, m in enumerate(MONOMIALS)}
 
+
 class NotParabolicError(ValueError):
     """The form is not a non-singular parabolic quadratic form."""
 
