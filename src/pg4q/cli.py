@@ -27,6 +27,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .families import (
     QUADRIC_VERDICT,
     QUASI_VERDICT,
@@ -61,10 +63,11 @@ class FamilyFile:
 
 
 def write_family_file(path, field: GF, kind: str, records, nucleus=None) -> None:
+    """Write records, a sequence of 5-tuples or an (N, 5) array, under a PG4Q v1 header."""
     parts = [HEADER_TAG, f"q={field.q}", f"mod={field.modulus}", f"kind={kind}"]
     if nucleus is not None:
         parts.append("nucleus=" + ",".join(str(x) for x in nucleus))
-    flat = tuple(x for rec in records for x in rec)
+    flat = tuple(np.asarray(records, dtype=np.int64).reshape(-1).tolist())
     with open(path, "w") as fh:
         fh.write(" ".join(parts) + "\n")
         fh.write(("%d %d %d %d %d\n" * len(records)) % flat)
@@ -102,8 +105,9 @@ def read_family_file(path) -> FamilyFile:
             nuc = tuple(int(x) for x in fields["nucleus"].split(","))
         except ValueError as exc:
             raise FormatError("bad nucleus header") from exc
-        if len(nuc) != 5 or normalize(field, nuc) != nuc:
-            raise FormatError("nucleus is not a canonical point")
+        if len(nuc) != 5:
+            raise FormatError("nucleus does not have 5 entries")
+        _check_canonical(field, "nucleus", nuc)
     records = []
     seen = set()
     for line in lines[1:]:
@@ -114,15 +118,24 @@ def read_family_file(path) -> FamilyFile:
             rec = tuple(int(t) for t in toks)
         except ValueError as exc:
             raise FormatError(f"non-integer record {line!r}") from exc
-        if any(not 0 <= x < q for x in rec):
-            raise FormatError(f"record {rec} out of range for q={q}")
-        if normalize(field, rec) != rec:
-            raise FormatError(f"record {rec} is not canonical")
+        _check_canonical(field, "record", rec)
         if rec in seen:
             raise FormatError(f"duplicate record {rec}")
         seen.add(rec)
         records.append(rec)
     return FamilyFile(q=q, modulus=modulus, kind=kind, nucleus=nuc, records=tuple(records))
+
+
+def _check_canonical(field: GF, what: str, vec: tuple) -> None:
+    if any(not 0 <= x < field.q for x in vec):
+        raise FormatError(f"{what} {vec} out of range for q={field.q}")
+    if normalize(field, vec) != vec:
+        raise FormatError(f"{what} {vec} is not canonical")
+
+
+def _indices(geom: Geometry, records: tuple) -> list:
+    """Point indices of a family file's records, which read_family_file has checked."""
+    return geom.point_indices(np.array(records, dtype=np.uint8).reshape(-1, 5)).tolist()
 
 
 def _spectrum_json(counter) -> dict:
@@ -229,11 +242,7 @@ def cmd_characterize(args) -> int:
               "pencils (17,965,585 rows each) do not fit in memory", file=sys.stderr)
         return 2
     geom = _geometry(fam_file.q, fam_file.modulus)
-    try:
-        indices = [geom.solid_index[rec] for rec in fam_file.records]
-    except KeyError as exc:
-        print(f"unknown covector {exc}", file=sys.stderr)
-        return 2
+    indices = _indices(geom, fam_file.records)
     if not indices:
         print("the family must be non-empty", file=sys.stderr)
         return 2
@@ -250,13 +259,11 @@ def cmd_export(args) -> int:
     geom = _geometry(args.q, args.modulus)
     form = canonical_q4(geom.field)
     if args.what == "quadric":
-        records = [geom.points[i] for i in zero_set(geom, form)]
+        records = geom.point_array[list(zero_set(geom, form))]
         write_family_file(args.out, geom.field, "points", records, nucleus=nucleus(form))
     else:
-        classes = classify_all_solids(geom, form)
-        fam = getattr(classes, args.what)
-        records = [geom.solids[i] for i in fam]
-        write_family_file(args.out, geom.field, "solids", records)
+        fam = getattr(classify_all_solids(geom, form), args.what)
+        write_family_file(args.out, geom.field, "solids", geom.point_array[list(fam)])
     return 0
 
 
@@ -271,7 +278,7 @@ def cmd_quasi(args) -> int:
             print("quasi check expects kind=points with a nucleus header", file=sys.stderr)
             return 2
         geom = _geometry(fam_file.q, fam_file.modulus)
-        points = frozenset(geom.point_index[rec] for rec in fam_file.records)
+        points = frozenset(_indices(geom, fam_file.records))
         ok, witness = is_quasi_quadric(
             geom, QuasiCandidate(points=points, nucleus=fam_file.nucleus)
         )
@@ -306,13 +313,14 @@ def cmd_quasi(args) -> int:
         "verified": len(hits),
         "non_quadric": sum(1 for h in hits if h.form is None),
     }
-    _emit(payload, args.json)
     if args.out and hits:
+        # written before the report, so an unwritable path leaves stdout empty
         preferred = next((h for h in hits if h.form is None), hits[0])
-        records = sorted(geom.points[i] for i in preferred.candidate.points)
+        records = geom.point_array[sorted(preferred.candidate.points)]
         write_family_file(
             args.out, geom.field, "points", records, nucleus=preferred.candidate.nucleus
         )
+    _emit(payload, args.json)
     return 0
 
 

@@ -291,14 +291,12 @@ def fit_quadratic_form(geom: Geometry, point_indices):
     """
     field = geom.field
     k = tuple(sorted({int(i) for i in point_indices}))
-    mul = field._mul
-    rows = [
-        [mul[p[i]][p[j]] for (i, j) in MONOMIALS]
-        for p in (geom.points[t] for t in k)
-    ]
-    if not rows:
+    if not k:
         return None
-    basis = null_space(field, rows, width=15)
+    pts = geom.point_array[list(k)]
+    mt = field.mul_table
+    rows = np.stack([mt[pts[:, i], pts[:, j]] for i, j in MONOMIALS], axis=1)
+    basis = null_space(field, rows.tolist(), width=15)
     if len(basis) != 1:
         return None
     form = QuadraticForm(field, basis[0])
@@ -395,7 +393,7 @@ def _decide(geom: Geometry, fam: tuple, report: Report) -> Verdict:
     if failed:
         return Verdict(INCONSISTENT, details="failed identities: " + ", ".join(failed))
 
-    red_point = geom.points[colors.red[0]]
+    red_point = tuple(geom.point_array[colors.red[0]].tolist())
     violators = tuple(np.flatnonzero((plane_fam > 0) & (plane_fam < q // 2)).tolist())
     if violators:
         from .quasi import QuasiCandidate, is_quasi_quadric, solids_meeting_in

@@ -108,7 +108,6 @@ class GF:
         for a in range(q):
             sqrt[self._mul[a][a]] = a
         self.sqrt_table = sqrt
-        self._sqrt = [int(x) for x in sqrt]
 
     @classmethod
     def from_order(cls, q: int, modulus: int | None = None) -> "GF":
@@ -117,30 +116,6 @@ class GF:
         if q < 2 or (1 << e) != q:
             raise ValueError(f"field order must be a power of 2, got {q}")
         return cls(e, modulus)
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Field addition (characteristic 2, so XOR)."""
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; 0 has none."""
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._inv[a]
-
-    def sqrt(self, a: int) -> int:
-        """The unique b with b*b = a."""
-        return self._sqrt[a]
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def units(self) -> range:
-        return range(1, self.q)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GF) and (self.e, self.modulus) == (other.e, other.modulus)

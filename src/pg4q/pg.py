@@ -3,8 +3,11 @@ Canonical model of PG(4,q): points, solids, k-subspaces, incidence.
 
 Representations
 ---------------
-* Projective point: 5-tuple of field elements, left-normalised so the
-  first nonzero coordinate is 1.
+* Projective point: a row of ``Geometry.point_array``, the (n, 5) uint8
+  array of left-normalised vectors (first nonzero coordinate 1).  The
+  program names a point by its row index and finds the index of a
+  vector by its code (see "Point codes"): ``point_indices`` for arrays
+  it builds itself, ``index_of`` for one vector read from outside.
 * Hyperplane (solid): canonical covector with the same normalisation;
   point P lies in the solid with covector c iff sum_i c_i * P_i = 0.
   The canonical covectors coincide with the canonical points, so points
@@ -14,6 +17,9 @@ Representations
   the unique canonical representative of the subspace.  Solids are
   points by duality, so no solid table is built.  A plane reported as a
   witness is named by its row in the plane table.
+* The tuple list ``points`` with its dict ``point_index`` (and their
+  aliases ``solids``, ``solid_index``) are views built on first read;
+  no program path reads them.
 
 Enumeration orders (frozen)
 ---------------------------
@@ -81,6 +87,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -250,18 +257,17 @@ class Geometry:
     """
     PG(4,q) with frozen enumerations and cached incidence structure.
 
-    points[i] / solids[i] are canonical 5-tuples (the two lists coincide
-    by duality); point_index maps a canonical tuple back to its index.
+    point_array[i] is point i and, by duality, the covector of solid i;
+    index_of and point_indices map vectors back to indices by their
+    codes.  The tuple and dict views below are not used by the program.
     """
 
     def __init__(self, field: GF):
         self.field = field
         q = field.q
         self.point_array = enumerate_points(field)
-        self.points = tuple(map(tuple, self.point_array.tolist()))
-        self.n = len(self.points)
+        self.n = len(self.point_array)
         assert self.n == q**4 + q**3 + q**2 + q + 1
-        self.point_index = {p: i for i, p in enumerate(self.points)}
         self._solid_masks: list[int] | None = None
         self._weights = q ** np.arange(4, -1, -1, dtype=np.int32)
         self._chi: np.ndarray | None = None
@@ -271,14 +277,25 @@ class Geometry:
         self._pencils: np.ndarray | None = None
         self._nline_partitions: dict[int, tuple] = {}
 
-    # -- basic views --------------------------------------------------
+    # -- tuple views ----------------------------------------------------
+    # built on first read; only perfbench's traced replays and the tests
+    # read them, so a benchmark change that retargets those reads can
+    # delete all four
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(map(tuple, self.point_array.tolist()))
+
+    @cached_property
+    def point_index(self) -> dict:
+        return {p: i for i, p in enumerate(self.points)}
 
     @property
-    def solids(self):
+    def solids(self) -> tuple:
         return self.points
 
     @property
-    def solid_index(self):
+    def solid_index(self) -> dict:
         return self.point_index
 
     # -- point codes -------------------------------------------------------
@@ -304,6 +321,14 @@ class Geometry:
     def point_indices(self, vecs: np.ndarray) -> np.ndarray:
         """Point index of each nonzero vector of a (..., 5) uint8 array, shape vecs.shape[:-1]."""
         return self._points_by_code()[vecs @ self._weights]
+
+    def index_of(self, vec) -> int:
+        """Point index of one vector; ValueError unless it is nonzero with entries in [0, q)."""
+        q = self.field.q
+        v = np.asarray(vec, dtype=np.int64)
+        if v.shape != (5,) or not v.any() or v.min() < 0 or v.max() >= q:
+            raise ValueError(f"{vec} is not a nonzero vector with entries in [0, {q})")
+        return int(self.point_indices(v))
 
     # -- incidence kernels ---------------------------------------------
 

@@ -84,11 +84,6 @@ class QuadraticForm:
                 acc ^= mul[c][mul[p[i]][p[j]]]
         return acc
 
-    def polar(self, x, y) -> int:
-        """B(x,y) = f(x+y) + f(x) + f(y); bilinear and alternating."""
-        s = tuple(a ^ b for a, b in zip(x, y))
-        return self.evaluate(s) ^ self.evaluate(x) ^ self.evaluate(y)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, QuadraticForm)
@@ -182,7 +177,7 @@ def classify_all_solids(geom: Geometry, form: QuadraticForm) -> SolidClasses:
         raise NotParabolicError(
             f"solid {s} meets the zero set in {int(counts[s])} points"
         )
-    through_n = geom.solids_through_point(geom.point_index[n_pt])
+    through_n = geom.solids_through_point(geom.index_of(n_pt))
     if not np.array_equal(tangent, through_n):
         raise InconsistencyError("cone solids differ from the solids through the nucleus")
     return SolidClasses(

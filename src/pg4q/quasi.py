@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import fit_quadratic_form
-from .pg import Geometry, InconsistencyError, dots, normalize
+from .pg import Geometry, InconsistencyError, dots
 from .quadric import QuadraticForm
 
 __all__ = [
@@ -86,13 +86,10 @@ def is_quasi_quadric(geom: Geometry, cand: QuasiCandidate):
     """
     Test the definition directly.  Returns (True, None) or (False,
     witness) where the witness names the first failing line or solid in
-    canonical order.
+    canonical order.  A zero or out-of-range nucleus raises ValueError.
     """
     q = geom.field.q
-    n_pt = normalize(geom.field, cand.nucleus)
-    if n_pt is None:
-        raise ValueError("nucleus must be a nonzero vector")
-    n_idx = geom.point_index[n_pt]
+    n_idx = geom.index_of(cand.nucleus)
     pts = frozenset(int(i) for i in cand.points)
     if n_idx in pts:
         return False, ("nucleus-in-set", n_idx)
@@ -128,7 +125,7 @@ def verify_converse_lemma(geom: Geometry, cand: QuasiCandidate) -> ConverseCount
         raise ValueError(f"candidate is not a quasi-quadric: {witness}")
     fam = solids_meeting_in(geom, cand.points, (q + 1) ** 2)
     counts = geom.incidence_counts_per_solid(fam)
-    n_idx = geom.point_index[normalize(geom.field, cand.nucleus)]
+    n_idx = geom.index_of(cand.nucleus)
     member_t = (q**3 + q**2) // 2
     other_t = q**3 // 2
     member = np.zeros(geom.n, dtype=bool)

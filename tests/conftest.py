@@ -50,3 +50,14 @@ def reference_space():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.Space
+
+
+@pytest.fixture
+def no_mirror(monkeypatch):
+    """Make any read of Geometry's tuple and dict views fail the test."""
+
+    def read(self):
+        raise AssertionError("a program path read a Geometry tuple/dict view")
+
+    for name in ("points", "point_index", "solids", "solid_index"):
+        monkeypatch.setattr(Geometry, name, property(read))

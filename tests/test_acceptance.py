@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from itertools import product
 from random import Random
 
+import numpy as np
 import pytest
 
 from conftest import random_invertible_matrix
@@ -188,15 +189,13 @@ def test_criterion_9_property_suites(geoms):
         # exhaustive field axioms for q <= 16
         for e in (1, 2, 3, 4):
             f = GF(e)
-            els = list(f.elements())
-            for a in els:
-                for b in els:
-                    assert f.mul(a, b) == f.mul(b, a)
-                    for c in els:
-                        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-                        assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-            for a in f.units():
-                assert f.mul(a, f.inv(a)) == 1
+            mt = f.mul_table
+            els = np.arange(f.q)
+            assert (mt == mt.T).all()
+            a, b, c = np.meshgrid(els, els, els, indexing="ij")
+            assert (mt[a, b ^ c] == mt[a, b] ^ mt[a, c]).all()
+            assert (mt[a, mt[b, c]] == mt[mt[a, b], c]).all()
+            assert (mt[els[1:], np.array(f._inv)[1:]] == 1).all()
 
         # duality: equal numbers of lines and planes
         for q, geom in geoms.items():

@@ -190,6 +190,16 @@ def test_quasi_check_requires_nucleus(tmp_path):
     assert run(["quasi", "check", "--points", pts]) == 2
 
 
+@pytest.mark.parametrize("nuc", ["1,9,0,0,0", "7,0,0,0,0"])
+def test_out_of_range_nucleus_header_exit_2(tmp_path, capsys, nuc):
+    pts = tmp_path / "q4.txt"
+    run(["export", "--q", 4, "--what", "quadric", "--out", pts])
+    pts.write_text(pts.read_text().replace("nucleus=1,0,0,0,0", f"nucleus={nuc}", 1))
+    assert run(["quasi", "check", "--points", pts]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err and "nucleus" in err and "out of range" in err
+
+
 def test_quasi_search_exhaustive_q2(tmp_path, capsys):
     assert run(["quasi", "search", "--q", 2, "--exhaustive"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -235,8 +245,9 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv):
     bad = tmp_path / "missing" / "out.txt"
     argv = [str(a).format(fam=fam, pts=pts, bad=bad) for a in argv]
     assert run(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err and err.count("\n") == 1 and "cannot write" in err
+    assert out == ""  # nothing is reported before the failed write
 
 
 def test_quasi_search_unknown_strategy_exit_2():

@@ -215,7 +215,7 @@ def test_fit_solution_space_is_one_dimensional(geoms):
         for form in forms:
             zeros = zero_set(geom, form)
             rows = [
-                [field.mul(p[i], p[j]) for i, j in MONOMIALS]
+                [int(field.mul_table[p[i], p[j]]) for i, j in MONOMIALS]
                 for p in (geom.points[t] for t in zeros)
             ]
             assert len(null_space(field, rows, width=15)) == 1

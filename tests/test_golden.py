@@ -8,7 +8,9 @@ hyperbolic family and on that family less its first solid (ViolatesI) at
 q = 2, 4 and 8, and ``quasi search``, ``quasi check`` and ``characterize``
 on the non-quadric find of the complete q=4 switching census (a QUASI
 verdict with plane witnesses).  The secant family of that find comes from
-``perfbench/ref.py``, which does not import pg4q.
+``perfbench/ref.py``, which does not import pg4q.  The test runs every
+case, and a q=16 hyperbolic export, with Geometry's tuple and dict views
+made to fail on read, so no command reaches them.
 
 ``tests/golden.json`` holds the digests.  Regenerate it only when an
 output change is intended, from the repository root::
@@ -80,7 +82,7 @@ def run_cases(work: Path, space) -> dict:
     return got
 
 
-def test_golden_outputs(tmp_path, reference_space, capsys):
+def test_golden_outputs(tmp_path, reference_space, capsys, no_mirror):
     want = json.loads(GOLDEN.read_text())
     got = run_cases(tmp_path, reference_space)
     assert sorted(got) == sorted(want)
@@ -89,6 +91,16 @@ def test_golden_outputs(tmp_path, reference_space, capsys):
     report = json.loads((tmp_path / "census-characterize-q4.json").read_text())
     assert report["verdict"]["kind"] == "SatisfiesI-QuasiQuadric"
     assert report["verdict"]["witnesses"]
+
+
+def test_export_q16_reads_no_mirror(tmp_path, no_mirror):
+    # q=16 is outside golden.json; the digest was recorded when the export
+    # still looked its records up through Geometry.solids
+    out = tmp_path / "hyperbolic-q16.txt"
+    assert _run(["export", "--q", 16, "--what", "hyperbolic", "--out", out], [out]) == {
+        "exit": 0,
+        "sha256": ["749b68ac3b7d057c51292d7bc11a28653aedd5be02b9570ad7cc443ad6e58680"],
+    }
 
 
 if __name__ == "__main__":

@@ -18,7 +18,9 @@ from pg4q.pg import (
     projective_span_points,
     rref,
 )
-from pg4q.quadric import canonical_q4, line_profile, zero_set
+from pg4q.families import characterize
+from pg4q.quadric import canonical_q4, classify_all_solids, line_profile, nucleus, zero_set
+from pg4q.quasi import QuasiCandidate, is_quasi_quadric
 
 
 def test_point_counts():
@@ -45,6 +47,24 @@ def test_point_indices_of_every_vector(geom4):
     vecs = np.array(list(product(range(4), repeat=5))[1:], dtype=np.uint8)
     expected = [geom4.point_index[normalize(geom4.field, v)] for v in vecs.tolist()]
     assert geom4.point_indices(vecs).tolist() == expected
+    assert [geom4.index_of(v) for v in vecs.tolist()] == expected
+
+
+@pytest.mark.parametrize(
+    "vec", [(0, 0, 0, 0, 0), (1, 9, 0, 0, 0), (7, 0, 0, 0, 0), (0, 0, 0, 1, -1), (1, 0, 0, 0)]
+)
+def test_index_of_rejects_bad_vectors(geom4, vec):
+    # point_indices would read a wrong table entry or none for these
+    with pytest.raises(ValueError, match="not a nonzero vector"):
+        geom4.index_of(vec)
+
+
+def test_program_paths_leave_the_views_unbuilt():
+    geom = Geometry(GF(2))
+    form = canonical_q4(geom.field)
+    characterize(geom, classify_all_solids(geom, form).hyperbolic)
+    assert is_quasi_quadric(geom, QuasiCandidate(frozenset(zero_set(geom, form)), nucleus(form)))[0]
+    assert "points" not in vars(geom) and "point_index" not in vars(geom)
 
 
 def test_subspace_counts(geom2, geom4):

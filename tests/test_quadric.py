@@ -10,6 +10,7 @@ from pg4q.pg import normalize
 from pg4q.quadric import (
     NotParabolicError,
     QuadraticForm,
+    _polar_matrix,
     apply_collineation,
     canonical_q4,
     classify_all_solids,
@@ -47,25 +48,53 @@ def test_zero_form_vanishes_everywhere(geom2):
     assert len(z) == geom2.n
 
 
+def _bilinear(field, mat, x, y) -> int:
+    """x^T mat y over the field."""
+    mt = field.mul_table
+    acc = 0
+    for i in range(5):
+        for j in range(5):
+            acc ^= int(mt[x[i], mt[mat[i][j], y[j]]])
+    return acc
+
+
+def _polar_by_definition(form, x, y) -> int:
+    """B(x,y) = f(x+y) + f(x) + f(y)."""
+    s = tuple(a ^ b for a, b in zip(x, y))
+    return form.evaluate(s) ^ form.evaluate(x) ^ form.evaluate(y)
+
+
 def test_polar_form(geom2, geom4):
     for geom in (geom2, geom4):
         f = canonical_q4(geom.field)
+        b = _polar_matrix(f)
         e0 = (1, 0, 0, 0, 0)
-        for p in geom.points[:40]:
-            assert f.polar(e0, p) == 0  # no cross terms with x0
-            assert f.polar(p, p) == 0  # alternating
-        assert f.polar((0, 1, 0, 0, 0), (0, 0, 1, 0, 0)) == 1
+        for p in geom.point_array[:40].tolist():
+            assert _bilinear(geom.field, b, e0, p) == 0  # no cross terms with x0
+            assert _bilinear(geom.field, b, p, p) == 0  # alternating
+            assert _bilinear(geom.field, b, e0, p) == _polar_by_definition(f, e0, p)
+        assert _bilinear(geom.field, b, (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)) == 1
 
 
 def test_polar_bilinear(geom4):
-    f = canonical_q4(geom4.field)
+    # the matrix nucleus() reads agrees with f(x+y) + f(x) + f(y), for the
+    # canonical form and for random ones
+    field = geom4.field
     rng = Random(11)
+    forms = [canonical_q4(field)] + [
+        QuadraticForm(field, [rng.randrange(4) for _ in range(15)]) for _ in range(3)
+    ]
     pts = [tuple(rng.randrange(4) for _ in range(5)) for _ in range(12)]
-    for x in pts[:4]:
-        for y in pts[4:8]:
-            for z in pts[8:]:
-                s = tuple(a ^ b for a, b in zip(y, z))
-                assert f.polar(x, s) == f.polar(x, y) ^ f.polar(x, z)
+    for f in forms:
+        b = _polar_matrix(f)
+        for x in pts[:4]:
+            for y in pts[4:8]:
+                assert _bilinear(field, b, x, y) == _polar_by_definition(f, x, y)
+                for z in pts[8:]:
+                    s = tuple(a ^ c for a, c in zip(y, z))
+                    assert _polar_by_definition(f, x, s) == (
+                        _polar_by_definition(f, x, y) ^ _polar_by_definition(f, x, z)
+                    )
 
 
 def test_nucleus_canonical(geoms):
@@ -178,7 +207,7 @@ def test_hyperbolic_family_transforms_as_preimage(geom2):
             normalize(field, tuple(
                 __import__("functools").reduce(
                     lambda a, b: a ^ b,
-                    (field.mul(geom2.solids[s][r], m[r][col]) for r in range(5)),
+                    (field.mul_table[geom2.solids[s][r], m[r][col]] for r in range(5)),
                 )
                 for col in range(5)
             ))

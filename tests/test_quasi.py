@@ -55,6 +55,14 @@ def test_nucleus_in_set_detected(geom2, quad2):
     assert not ok and witness == ("nucleus-in-set", n_idx)
 
 
+@pytest.mark.parametrize("nuc", [(0, 0, 0, 0, 0), (1, 9, 0, 0, 0), (7, 0, 0, 0, 0)])
+def test_bad_nucleus_raises_value_error(geom4, quad4, nuc):
+    cand = QuasiCandidate(points=quad4.points, nucleus=nuc)
+    for check in (is_quasi_quadric, verify_converse_lemma):
+        with pytest.raises(ValueError, match="not a nonzero vector"):
+            check(geom4, cand)
+
+
 def test_random_sets_fail(geom2):
     rng = Random(77)
     for _ in range(5):
