@@ -31,8 +31,8 @@ from .quadric import (
     NotParabolicError,
     QuadraticForm,
     classify_all_solids,
-    evaluate_all,
     nucleus,
+    zero_set,
 )
 
 __all__ = [
@@ -286,7 +286,7 @@ def fit_quadratic_form(geom: Geometry, point_indices):
     solution space of any other dimension returns None.  No fit is lost:
     the zero set of a parabolic form f is a copy of Q(4,q), which lies
     on exactly one quadric (the solution space has dimension 1 at
-    q = 2, 4 and 8, and collineations preserve it), so every solution
+    q = 2, 4, 8 and 16, and collineations preserve it), so every solution
     is a multiple of f.
     """
     field = geom.field
@@ -296,11 +296,11 @@ def fit_quadratic_form(geom: Geometry, point_indices):
     pts = geom.point_array[list(k)]
     mt = field.mul_table
     rows = np.stack([mt[pts[:, i], pts[:, j]] for i, j in MONOMIALS], axis=1)
-    basis = null_space(field, rows.tolist(), width=15)
+    basis = null_space(field, rows)
     if len(basis) != 1:
         return None
     form = QuadraticForm(field, basis[0])
-    if tuple(int(i) for i in np.nonzero(evaluate_all(geom, form) == 0)[0]) != k:
+    if zero_set(geom, form) != k:
         return None
     try:
         nucleus(form)

@@ -3,9 +3,11 @@ Exact arithmetic in GF(2^e) for e in {1, 2, 3, 4}.
 
 Field elements are integers in [0, 2^e) read in the polynomial basis:
 bit i is the coefficient of x^i.  Addition is XOR.  Multiplication is a
-carry-less product reduced modulo an irreducible modulus; all products
-and inverses are precomputed into lookup tables at construction (q <= 16,
-so the tables are tiny).
+carry-less product reduced modulo an irreducible modulus.  A field
+holds three uint8 lookup tables, built at construction (q <= 16, so they
+are tiny): ``mul_table[a, b] = ab``, ``inv_table[a] = 1/a`` (0 at a = 0)
+and ``sqrt_table[a]``, the unique square root of a.  All arithmetic in
+the package is gathers from these tables.
 
 Default moduli are fixed so that every enumeration order and file format
 downstream is reproducible:
@@ -98,16 +100,12 @@ class GF:
                 mul[a, b] = p
                 mul[b, a] = p
         self.mul_table = mul
-        self._mul = [[int(x) for x in row] for row in mul]
-
-        self._inv = [0] + [self._mul[a].index(1) for a in range(1, q)]
-
+        # row 0 holds no 1, so argmax leaves inv_table[0] = 0
+        self.inv_table = np.argmax(mul == 1, axis=1).astype(np.uint8)
         # Squaring is the Frobenius automorphism, hence a bijection; the
         # inverse map gives unique square roots.
-        sqrt = np.zeros(q, dtype=np.uint8)
-        for a in range(q):
-            sqrt[self._mul[a][a]] = a
-        self.sqrt_table = sqrt
+        self.sqrt_table = np.zeros(q, dtype=np.uint8)
+        self.sqrt_table[np.diagonal(mul)] = np.arange(q)
 
     @classmethod
     def from_order(cls, q: int, modulus: int | None = None) -> "GF":

@@ -30,6 +30,16 @@ coordinates.  Subspace tables are in ascending lexicographic order of
 the flattened RREF.  Reports, file formats and tests reference these
 indices; the orders must not change.
 
+Linear algebra
+--------------
+Vectors and matrices over GF(q) are uint8 arrays.  Addition is XOR and
+every product is a gather from the field's ``mul_table``, every inverse
+one from its ``inv_table``.  ``dots`` gives the dot products of the
+rows of two arrays.  ``rref`` is the one elimination: for each pivot
+column it scales the pivot row by one gather through the inverse, then
+clears the column in every other row by one gather and XOR.
+``null_space`` reads its canonical basis off the RREF.
+
 Point codes
 -----------
 The code of a vector v is sum_i v_i q^(4-i).  For q = 2^e that is five
@@ -88,7 +98,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -100,11 +110,9 @@ __all__ = [
     "SubspaceTable",
     "gaussian_binomial",
     "enumerate_points",
-    "normalize",
     "dots",
     "rref",
     "null_space",
-    "projective_span_points",
     "histogram",
 ]
 
@@ -135,83 +143,43 @@ def dots(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def normalize(field: GF, vec):
-    """Left-normalised projective representative, or None for the zero vector."""
-    for x in vec:
-        if x:
-            if x == 1:
-                return tuple(vec)
-            mul = field._mul[field._inv[x]]
-            return tuple(mul[y] for y in vec)
-    return None
-
-
-def rref(field: GF, rows, width: int | None = None):
-    """Reduced row echelon form over the field; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return (), ()
-    w = len(rows[0]) if width is None else width
-    mul = field._mul
-    invt = field._inv
+def rref(field: GF, rows):
+    """
+    Reduced row echelon form of an (m, k) uint8 array over the field:
+    its nonzero rows as an (r, k) uint8 array, and the pivot columns.
+    """
+    mt, inv = field.mul_table, field.inv_table
+    a = np.array(rows, dtype=np.uint8)
     pivots = []
-    r = 0
-    for c in range(w):
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        below = a[r:, c].nonzero()[0]
+        if not len(below):
             continue
-        rows[r], rows[k] = rows[k], rows[r]
-        mrow = mul[invt[rows[r][c]]]
-        rows[r] = [mrow[x] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                frow = mul[rows[i][c]]
-                rows[i] = [x ^ frow[y] for x, y in zip(rows[i], rows[r])]
+        k = r + below[0]
+        a[r], a[k] = a[k], a[r].copy()
+        row = mt[inv[a[r, c]], a[r]]
+        # a[r] is a[r, c] * row, so this clears column c in row r too
+        a ^= mt[a[:, c, None], row]
+        a[r] = row
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(a):
             break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+    return a[: len(pivots)], tuple(pivots)
 
 
-def null_space(field: GF, rows, width: int = 5):
+def null_space(field: GF, rows) -> np.ndarray:
     """
-    Canonical basis of the right null space {v : rows @ v = 0}, one
-    normalised vector per free column of the RREF.
+    Canonical basis of the right null space {v : rows @ v = 0} of an
+    (m, k) uint8 array: a (d, k) uint8 array with one left-normalised
+    row per free column of the RREF.
     """
-    red, piv = rref(field, rows, width)
-    basis = []
-    for f in range(width):
-        if f in piv:
-            continue
-        v = [0] * width
-        v[f] = 1
-        for i, p in enumerate(piv):
-            v[p] = red[i][f]  # char 2: -x = x
-        basis.append(normalize(field, v))
-    return tuple(basis)
-
-
-def projective_span_points(field: GF, rows):
-    """
-    All canonical points of the projective subspace spanned by the given
-    independent rows: (q^k - 1)/(q - 1) of them for k rows.
-    """
-    rows = [tuple(r) for r in rows]
-    k = len(rows)
-    q = field.q
-    mul = field._mul
-    out = []
-    for i in range(k):
-        for tail in product(range(q), repeat=k - 1 - i):
-            v = list(rows[i])
-            for j, t in enumerate(tail):
-                if t:
-                    trow = mul[t]
-                    rj = rows[i + 1 + j]
-                    v = [a ^ trow[b] for a, b in zip(v, rj)]
-            out.append(normalize(field, v))
-    return out
+    red, piv = rref(field, rows)
+    free = [c for c in range(red.shape[1]) if c not in piv]
+    basis = np.eye(red.shape[1], dtype=np.uint8)[free]
+    basis[:, list(piv)] = red[:, free].T  # char 2: -x = x
+    lead = basis[np.arange(len(free)), np.argmax(basis != 0, axis=1)]
+    return field.mul_table[field.inv_table[lead][:, None], basis]
 
 
 def enumerate_points(field: GF) -> np.ndarray:
@@ -356,8 +324,12 @@ class Geometry:
         if (q - 1) * len(idx) >= 2**24:
             raise ValueError(f"{len(idx)} indices exceed the exact float32 range at q={q}")
         chi, codes = self._characters()
+        # distinct points have disjoint nonzero multiples, so assigning
+        # each point's multiplicity at its multiples' codes is exact
+        mult = np.bincount(idx, minlength=self.n)
+        pts = np.flatnonzero(mult)
         f = np.zeros(q**5, dtype=np.float32)
-        np.add.at(f, self._scaled_codes(self.point_array[idx])[:, 1:], 1)
+        f[self._scaled_codes(self.point_array[pts])[:, 1:]] = mult[pts, None]
         buf = np.empty((q, q**4), dtype=np.float32)
         for _ in range(5):
             np.matmul(chi, f.reshape(q, -1), out=buf)

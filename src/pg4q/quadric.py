@@ -25,21 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import GF
-from .pg import (
-    Geometry,
-    InconsistencyError,
-    histogram,
-    null_space,
-    projective_span_points,
-    rref,
-)
+from .pg import Geometry, InconsistencyError, dots, histogram, null_space, rref
 
 __all__ = [
     "MONOMIALS",
     "NotParabolicError",
     "QuadraticForm",
     "canonical_q4",
-    "evaluate_all",
     "zero_set",
     "nucleus",
     "SolidClasses",
@@ -76,12 +68,13 @@ class QuadraticForm:
             i, j = j, i
         return self.coeffs[_MONO_INDEX[(i, j)]]
 
-    def evaluate(self, p) -> int:
-        mul = self.field._mul
-        acc = 0
+    def values(self, vecs: np.ndarray) -> np.ndarray:
+        """The form at each row of an (N, 5) uint8 array, shape (N,)."""
+        mt = self.field.mul_table
+        acc = np.zeros(len(vecs), dtype=np.uint8)
         for (i, j), c in zip(MONOMIALS, self.coeffs):
             if c:
-                acc ^= mul[c][mul[p[i]][p[j]]]
+                acc ^= mt[c, mt[vecs[:, i], vecs[:, j]]]
         return acc
 
     def __eq__(self, other: object) -> bool:
@@ -107,20 +100,9 @@ def canonical_q4(field: GF) -> QuadraticForm:
     return QuadraticForm(field, coeffs)
 
 
-def evaluate_all(geom: Geometry, form: QuadraticForm) -> np.ndarray:
-    """Form values at every canonical point, shape (n,) uint8."""
-    mt = geom.field.mul_table
-    pts = geom.point_array
-    acc = np.zeros(geom.n, dtype=np.uint8)
-    for (i, j), c in zip(MONOMIALS, form.coeffs):
-        if c:
-            acc = acc ^ mt[mt[pts[:, i], pts[:, j]], c]
-    return acc
-
-
 def zero_set(geom: Geometry, form: QuadraticForm):
     """Sorted indices of the points where the form vanishes."""
-    return tuple(np.nonzero(evaluate_all(geom, form) == 0)[0].tolist())
+    return tuple(np.nonzero(form.values(geom.point_array) == 0)[0].tolist())
 
 
 def _polar_matrix(form: QuadraticForm):
@@ -133,18 +115,20 @@ def _polar_matrix(form: QuadraticForm):
 def nucleus(form: QuadraticForm):
     """
     The unique point N with B(N, .) = 0 and f(N) != 0, as a canonical
-    tuple.  Raises NotParabolicError when the radical is trivial, meets
-    the quadric, or has dimension above one.
+    tuple.  On the radical R of the polar form B, f(x + y) = f(x) + f(y)
+    and f(tx) = t^2 f(x), so the square root of f is linear on R and
+    vanishes on a subspace of codimension at most 1 in R.  A radical of
+    dimension above one therefore meets the quadric, and the form is
+    parabolic exactly when R is one point N with f(N) != 0; otherwise
+    NotParabolicError is raised.
     """
     rad = null_space(form.field, _polar_matrix(form))
-    if not rad:
-        raise NotParabolicError("polar form has trivial radical")
-    for pt in projective_span_points(form.field, rad):
-        if form.evaluate(pt) == 0:
-            raise NotParabolicError(f"radical point {pt} lies on the quadric")
-    if len(rad) > 1:
-        raise NotParabolicError("radical dimension exceeds 1")
-    return rad[0]
+    if len(rad) != 1:
+        raise NotParabolicError(f"the polar form's radical has dimension {len(rad)}, not 1")
+    pt = tuple(rad[0].tolist())
+    if form.values(rad)[0] == 0:
+        raise NotParabolicError(f"radical point {pt} lies on the quadric")
+    return pt
 
 
 @dataclass(frozen=True)
@@ -193,27 +177,18 @@ def apply_collineation(form: QuadraticForm, m) -> QuadraticForm:
     M must be an invertible 5x5 matrix over the same field.
     """
     field = form.field
-    m = [list(row) for row in m]
-    if len(m) != 5 or any(len(r) != 5 for r in m):
+    m = np.array(m, dtype=np.uint8)
+    if m.shape != (5, 5):
         raise ValueError("collineation matrix must be 5x5")
-    red, _ = rref(field, m)
-    if len(red) != 5:
+    if len(rref(field, m)[0]) != 5:
         raise ValueError("collineation matrix is singular")
-    mul = field._mul
-    new = [0] * 15
-    for (i, j), c in zip(MONOMIALS, form.coeffs):
-        if not c:
-            continue
-        mi, mj = m[i], m[j]
-        for k in range(5):
-            a = mul[c][mul[mi[k]][mj[k]]]
-            if a:
-                new[_MONO_INDEX[(k, k)]] ^= a
-            for l in range(k + 1, 5):
-                cross = mul[mi[k]][mj[l]] ^ mul[mi[l]][mj[k]]
-                if cross:
-                    new[_MONO_INDEX[(k, l)]] ^= mul[c][cross]
-    return QuadraticForm(field, new)
+    # g(x) = f(Mx) has g_kk = g(e_k) and g_kl = g(e_k + e_l) + g(e_k) + g(e_l):
+    # evaluate f at M x for x = e_k + e_l, one x per monomial (k, l)
+    ii, jj = np.array(MONOMIALS).T
+    eye = np.eye(5, dtype=np.uint8)
+    vals = form.values(dots(field, eye[ii] | eye[jj], m))
+    diag = vals[ii == jj]  # g(e_0), ..., g(e_4)
+    return QuadraticForm(field, vals ^ np.where(ii == jj, 0, diag[ii] ^ diag[jj]))
 
 
 def line_profile(geom: Geometry, point_indices) -> Counter:

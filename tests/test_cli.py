@@ -200,6 +200,31 @@ def test_out_of_range_nucleus_header_exit_2(tmp_path, capsys, nuc):
     assert out == "" and "Traceback" not in err and "nucleus" in err and "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "PG4Q v1 q=4 mod=7 kind=solids\n0 0 0 0 0\n",
+        "PG4Q v1 q=4 mod=7 kind=solids\n0 2 0 0 1\n",
+        "PG4Q v1 q=4 mod=7 kind=solids nucleus=0,2,0,0,1\n0 0 0 0 1\n",
+    ],
+)
+def test_non_canonical_family_file_exit_2(tmp_path, capsys, body):
+    # a record or nucleus is canonical when its first nonzero entry is 1
+    fam = tmp_path / "fam.txt"
+    fam.write_text(body)
+    assert run(["characterize", "--family", fam]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cannot read family file:") and "not canonical" in err
+
+
+def test_first_non_canonical_record_reported(tmp_path, capsys):
+    fam = tmp_path / "fam.txt"
+    fam.write_text("PG4Q v1 q=4 mod=7 kind=solids\n0 0 1 3 0\n0 3 1 0 0\n0 0 0 0 0\n")
+    assert run(["characterize", "--family", fam]) == 2
+    err = capsys.readouterr().err
+    assert "record (0, 3, 1, 0, 0) is not canonical" in err and "(0, 0, 0, 0, 0)" not in err
+
+
 def test_quasi_search_exhaustive_q2(tmp_path, capsys):
     assert run(["quasi", "search", "--q", 2, "--exhaustive"]) == 0
     out = json.loads(capsys.readouterr().out)

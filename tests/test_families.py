@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 import pg4q.families as families_mod
@@ -204,21 +205,21 @@ def test_fit_after_collineation(geom4):
     assert zero_set(geom4, fitted) == zero_set(geom4, f2)
 
 
-def test_fit_solution_space_is_one_dimensional(geoms):
+def test_fit_solution_space_is_one_dimensional(geoms, geom16):
     # Q(4,q) lies on exactly one quadric, so fit_quadratic_form only ever
     # needs the one basis form of the solution space
-    for q, geom in geoms.items():
+    for geom, images in [(geom, 3) for geom in geoms.values()] + [(geom16, 1)]:
         field = geom.field
-        rng = Random(q)
+        rng = Random(field.q)
         f = canonical_q4(field)
-        forms = [f] + [apply_collineation(f, random_invertible_matrix(field, rng)) for _ in range(3)]
+        forms = [f] + [
+            apply_collineation(f, random_invertible_matrix(field, rng)) for _ in range(images)
+        ]
         for form in forms:
             zeros = zero_set(geom, form)
-            rows = [
-                [int(field.mul_table[p[i], p[j]]) for i, j in MONOMIALS]
-                for p in (geom.points[t] for t in zeros)
-            ]
-            assert len(null_space(field, rows, width=15)) == 1
+            pts = geom.point_array[list(zeros)]
+            rows = np.stack([field.mul_table[pts[:, i], pts[:, j]] for i, j in MONOMIALS], axis=1)
+            assert len(null_space(field, rows)) == 1
             assert fit_quadratic_form(geom, zeros[1:]) is None
 
 

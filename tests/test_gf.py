@@ -71,12 +71,12 @@ def test_mul_worked_examples():
 def test_inverse_worked_examples():
     f4 = GF(2)
     # 2 * 3 = x(x+1) = x^2 + x = 1 (mod x^2+x+1)
-    assert f4._inv[2] == 3
+    assert f4.inv_table[2] == 3
     for q in (2, 4, 8, 16):
         fq = GF.from_order(q)
-        assert fq._inv[1] == 1
+        assert fq.inv_table[1] == 1
         units = np.arange(1, q)
-        assert (fq.mul_table[units, np.array(fq._inv)[units]] == 1).all()
+        assert (fq.mul_table[units, fq.inv_table[units]] == 1).all()
 
 
 @pytest.mark.parametrize("e", ALL_E)

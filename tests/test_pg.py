@@ -14,8 +14,7 @@ from pg4q.pg import (
     dots,
     gaussian_binomial,
     histogram,
-    normalize,
-    projective_span_points,
+    null_space,
     rref,
 )
 from pg4q.families import characterize
@@ -42,10 +41,11 @@ def test_points_canonical_and_unique(geom4):
         seen.add(p)
 
 
-def test_point_indices_of_every_vector(geom4):
+def test_point_indices_of_every_vector(geom4, reference_space):
     # all 4^5 - 1 nonzero vectors map to the index of their normalised point
+    ref = reference_space(4)
     vecs = np.array(list(product(range(4), repeat=5))[1:], dtype=np.uint8)
-    expected = [geom4.point_index[normalize(geom4.field, v)] for v in vecs.tolist()]
+    expected = ref.index(ref.normalize(vecs)).tolist()
     assert geom4.point_indices(vecs).tolist() == expected
     assert [geom4.index_of(v) for v in vecs.tolist()] == expected
 
@@ -88,8 +88,8 @@ def test_subspace_table_canonical(geom2, geom4):
     for geom in (geom2, geom4):
         for k in (1, 2):
             tab = geom.subspace_table(k)
-            for m in tab.rref.tolist():
-                assert rref(geom.field, m)[0] == tuple(map(tuple, m))
+            for m in tab.rref:
+                assert np.array_equal(rref(geom.field, m)[0], m)
             keys = [tuple(m.ravel().tolist()) for m in tab.rref]
             assert keys == sorted(set(keys))
             assert len(keys) == gaussian_binomial(5, k + 1, geom.field.q)
@@ -104,11 +104,47 @@ def test_enumeration_deterministic():
 
 def test_rref_and_normalize():
     f = GF(2)
-    assert normalize(f, (0, 2, 0, 0, 2)) == (0, 1, 0, 0, 1)
-    assert normalize(f, (0, 0, 0, 0, 0)) is None
+    # the RREF of one nonzero row is the row left-normalised
+    assert rref(f, [(0, 2, 0, 0, 2)])[0].tolist() == [[0, 1, 0, 0, 1]]
     red, piv = rref(f, [(2, 0, 0, 2, 0), (0, 0, 0, 0, 3)])
-    assert red == ((1, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+    assert red.tolist() == [[1, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
     assert piv == (0, 4)
+
+
+def _xor_products(mul, coef, rows):
+    """(m, r) coefficients times (r, k) rows over the field, as (m, k) uint8."""
+    return np.bitwise_xor.reduce(mul[coef[:, :, None], rows[None]], axis=1)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_rref_and_null_space_match_definition(q, reference_space):
+    # random (m, 5) and (m, 15) arrays, many of them rank-deficient, with
+    # planted zero and repeated rows; the rank comes from the reference
+    ref = reference_space(q)
+    field = GF.from_order(q)
+    rng = np.random.default_rng(q)
+    for k in (5, 15):
+        for trial in range(24):
+            m = int(rng.integers(1, 2 * k))
+            r = min(m, k) if trial % 3 == 0 else int(rng.integers(0, min(m, k)))
+            basis = rng.integers(0, q, size=(r, k), dtype=np.uint8)
+            rows = _xor_products(ref.mul, rng.integers(0, q, size=(m, r), dtype=np.uint8), basis)
+            rows[rng.integers(m)] = 0
+            rows[rng.integers(m)] = rows[rng.integers(m)]
+            red, piv = rref(field, rows)
+            rank = ref.rank(rows)
+            assert red.shape == (rank, k) and len(piv) == rank
+            assert list(piv) == sorted(set(piv))
+            assert np.array_equal(red[:, list(piv)], np.eye(rank, dtype=np.uint8))
+            assert all(not red[i, :p].any() for i, p in enumerate(piv))
+            # the row space is kept: the input rows add nothing to the RREF's span
+            assert ref.rank(np.concatenate([red, rows])) == rank
+            ns = null_space(field, rows)
+            assert ns.shape == (k - rank, k)
+            assert not _xor_products(ref.mul, rows, ns.T).any()
+            if len(ns):
+                assert ref.rank(ns) == len(ns)
+            assert all(row[np.flatnonzero(row)[0]] == 1 for row in ns)
 
 
 def test_solid_point_counts(geom2):
@@ -335,12 +371,16 @@ def test_pencil_sums_divisibility_check():
         geom.pencil_sums([p])
 
 
-def test_annihilator_table(geom2):
+def test_annihilator_table(geom2, reference_space):
+    ref = reference_space(2)
     tab = geom2.subspace_table(2)
     sm = geom2.solid_masks
-    for rows, (a, b) in zip(tab.rref.tolist(), _indices(geom2, tab.ann_rows)):
+    # the nonzero coefficient vectors of a span of three rows
+    coef = np.indices((2, 2, 2), dtype=np.uint8).reshape(3, -1).T[1:]
+    for rows, (a, b) in zip(tab.rref, _indices(geom2, tab.ann_rows)):
         m = sm[a] & sm[b]
-        pts = [geom2.point_index[p] for p in projective_span_points(geom2.field, rows)]
+        span = np.bitwise_xor.reduce(ref.mul[coef[:, :, None], rows[None]], axis=1)
+        pts = ref.index(ref.normalize(span)).tolist()
         assert m.bit_count() == 7  # q^2+q+1 points of a plane
         assert all((m >> p) & 1 for p in pts)
 
@@ -387,7 +427,7 @@ def _nline_partition_by_span(geom, point_idx):
     groups = {}
     for i, p in enumerate(geom.points):
         if i != point_idx:
-            groups.setdefault(rref(geom.field, (npt, p))[0], []).append(i)
+            groups.setdefault(rref(geom.field, (npt, p))[0].tobytes(), []).append(i)
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_invertible_matrix
-from pg4q.pg import normalize
+from pg4q.gf import GF
 from pg4q.quadric import (
     NotParabolicError,
     QuadraticForm,
@@ -29,12 +29,16 @@ def _form_from_pairs(field, pairs):
     return QuadraticForm(field, coeffs)
 
 
+def _value(form, x) -> int:
+    return int(form.values(np.array([x], dtype=np.uint8))[0])
+
+
 def test_canonical_values(geom2, geom4):
     f = canonical_q4(geom2.field)
-    assert f.evaluate((0, 1, 0, 0, 0)) == 0
-    assert f.evaluate((1, 0, 0, 0, 0)) == 1
+    assert _value(f, (0, 1, 0, 0, 0)) == 0
+    assert _value(f, (1, 0, 0, 0, 0)) == 1
     f4 = canonical_q4(geom4.field)
-    assert f4.evaluate((1, 1, 1, 0, 0)) == 0  # x0^2 + x1 x2 = 1 + 1
+    assert _value(f4, (1, 1, 1, 0, 0)) == 0  # x0^2 + x1 x2 = 1 + 1
 
 
 def test_zero_set_sizes(geoms):
@@ -61,7 +65,7 @@ def _bilinear(field, mat, x, y) -> int:
 def _polar_by_definition(form, x, y) -> int:
     """B(x,y) = f(x+y) + f(x) + f(y)."""
     s = tuple(a ^ b for a, b in zip(x, y))
-    return form.evaluate(s) ^ form.evaluate(x) ^ form.evaluate(y)
+    return _value(form, s) ^ _value(form, x) ^ _value(form, y)
 
 
 def test_polar_form(geom2, geom4):
@@ -120,6 +124,58 @@ def test_nucleus_maps_under_collineation(geom4, reference_space):
         m = random_invertible_matrix(geom4.field, rng)
         n2 = np.array([nucleus(apply_collineation(f, m))], dtype=np.uint8)
         assert tuple(ref.normalize(ref.matvec(m, n2))[0].tolist()) == nucleus(f)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_apply_collineation_matches_reference(q, reference_space):
+    # f(Mx) against the reference's expansion of f, and the singularity
+    # check against the reference rank
+    ref = reference_space(q)
+    field = GF.from_order(q)
+    rng = Random(40 + q)
+    for _ in range(30):
+        coeffs = tuple(rng.randrange(q) for _ in range(15))
+        m = [[rng.randrange(q) for _ in range(5)] for _ in range(5)]
+        form = QuadraticForm(field, coeffs)
+        if ref.rank(m) == 5:
+            assert apply_collineation(form, m).coeffs == ref.compose(coeffs, m)
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                apply_collineation(form, m)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_nucleus_matches_brute_force(q, reference_space):
+    # the radical is every point x with f(x + e_i) + f(x) + f(e_i) = 0 for
+    # all i; the form is parabolic when it is one point off the quadric
+    ref = reference_space(q)
+    field = GF.from_order(q)
+    rng = Random(60 + q)
+    canon = canonical_q4(field).coeffs
+    forms = [canon] + [ref.compose(canon, ref.random_invertible(rng)) for _ in range(20)]
+    forms += [tuple(rng.randrange(q) for _ in range(15)) for _ in range(200)]
+    forms += [
+        tuple(rng.randrange(q) if rng.random() < 0.2 else 0 for _ in range(15)) for _ in range(200)
+    ]
+    verdicts = set()
+    for coeffs in forms:
+        f0 = ref.evaluate(coeffs, ref.points)
+        radical = np.ones(ref.n, dtype=bool)
+        for e in np.eye(5, dtype=np.uint8):
+            radical &= ref.evaluate(coeffs, ref.points ^ e) == f0 ^ ref.evaluate(coeffs, e[None])[0]
+        rad = np.flatnonzero(radical)
+        form = QuadraticForm(field, coeffs)
+        parabolic = len(rad) == 1 and f0[rad[0]] != 0
+        verdicts.add((parabolic, min(len(rad), 2)))
+        if parabolic:
+            n = nucleus(form)
+            assert n == tuple(ref.points[rad[0]].tolist()) and all(type(x) is int for x in n)
+        else:
+            with pytest.raises(NotParabolicError):
+                nucleus(form)
+    # every branch was met: a nucleus, a radical point on the quadric,
+    # and a radical of more than one point
+    assert {(True, 1), (False, 1), (False, 2)} <= verdicts
 
 
 def test_section_types_q2(geom2):
@@ -192,7 +248,7 @@ def test_apply_collineation_rejects_singular(geom2):
         apply_collineation(f, ((1, 0, 0, 0, 0),) * 5)
 
 
-def test_hyperbolic_family_transforms_as_preimage(geom2):
+def test_hyperbolic_family_transforms_as_preimage(geom2, reference_space):
     # H(f o M) = {normalised c.M : c in H(f)} since x -> Mx maps the
     # solid with covector c.M onto the solid with covector c
     f = canonical_q4(geom2.field)
@@ -204,13 +260,13 @@ def test_hyperbolic_family_transforms_as_preimage(geom2):
     field = geom2.field
     mapped = sorted(
         geom2.solid_index[
-            normalize(field, tuple(
+            tuple(reference_space(2).normalize(tuple(
                 __import__("functools").reduce(
                     lambda a, b: a ^ b,
                     (field.mul_table[geom2.solids[s][r], m[r][col]] for r in range(5)),
                 )
                 for col in range(5)
-            ))
+            )).tolist())
         ]
         for s in c1.hyperbolic
     )

@@ -288,14 +288,43 @@ def _stream_rows(quot, budget):
     return np.concatenate(rows)[:budget], np.concatenate(mask)[:budget]
 
 
-def _assert_filter_is_definition(ref, quot, rows, mask):
+def _quasi_definition(ref, nucleus):
+    """
+    A predicate on sorted point index lists: the quasi-quadric definition
+    with the given nucleus N, from the reference space alone.  Every line
+    through N meets the set once, and every solid off N meets it in q^2+1
+    or (q+1)^2 points.  The incidence of the points with the solids off N
+    is built once, point-major, so a set costs one gather of its rows.
+    """
+    q = ref.q
+    nuc = np.array(nucleus, dtype=np.uint8)
+    n_idx = int(ref.index(nuc))
+    others = np.delete(np.arange(ref.n), n_idx)
+    # each point's line through N, keyed by its smallest point index
+    shifted = ref.points[others, None, :] ^ ref.mul[np.arange(q)[None, :, None], nuc]
+    line = np.full(ref.n, -1)
+    line[others] = ref.index(ref.normalize(shifted)).min(axis=1)
+    off = np.flatnonzero(ref.dots(ref.points, nuc[None, :])[:, 0])
+    on_solid = ref.dots(ref.points, ref.points[off]) == 0
+
+    def holds(points) -> bool:
+        if n_idx in points or len(points) != q**3 + q**2 + q + 1:
+            return False
+        if len(np.unique(line[points])) != len(points):
+            return False
+        sizes = np.count_nonzero(on_solid[points], axis=0)
+        return set(sizes.tolist()) <= {q * q + 1, (q + 1) ** 2}
+
+    return holds
+
+
+def _assert_filter_is_definition(is_quasi, quot, rows, mask):
     single = quot.passing_shifts(rows, 1)[:, 0]
     for row, passed, alone in zip(rows, mask, single):
         values = quot.base.copy()
         values[quot.w_ids] = row
         points = sorted(quot.candidate_points(values))
-        expected = ref.quasi_quadric_problem(points, SEARCH_NUCLEUS) is None
-        assert passed == alone == expected
+        assert passed == alone == is_quasi(points)
 
 
 def test_passing_shifts_matches_definition_q4(geom4, reference_space):
@@ -305,12 +334,21 @@ def test_passing_shifts_matches_definition_q4(geom4, reference_space):
     passing = np.unique(rows[mask], axis=0)
     assert len(passing) == 48
     ref = reference_space(4)
+    holds = _quasi_definition(ref, SEARCH_NUCLEUS)
+
+    def is_quasi(points):
+        # the reference's own check, which the q=8 test's predicate must match
+        expected = ref.quasi_quadric_problem(points, SEARCH_NUCLEUS) is None
+        assert holds(points) == expected
+        return expected
+
     sample = np.random.default_rng(12).choice(len(rows), 512, replace=False)
-    _assert_filter_is_definition(ref, quot, rows[sample], mask[sample])
-    _assert_filter_is_definition(ref, quot, passing, np.ones(len(passing), dtype=bool))
+    _assert_filter_is_definition(is_quasi, quot, rows[sample], mask[sample])
+    _assert_filter_is_definition(is_quasi, quot, passing, np.ones(len(passing), dtype=bool))
 
 
 def test_passing_shifts_matches_definition_q8(geom8, reference_space):
     quot = _Quotient(geom8)
     rows, mask = _stream_rows(quot, 513)
-    _assert_filter_is_definition(reference_space(8), quot, rows, mask)
+    holds = _quasi_definition(reference_space(8), SEARCH_NUCLEUS)
+    _assert_filter_is_definition(holds, quot, rows, mask)
