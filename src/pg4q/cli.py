@@ -238,8 +238,8 @@ def cmd_characterize(args) -> int:
         print("characterize expects a file with kind=solids", file=sys.stderr)
         return 2
     if fam_file.q == 16:
-        print("characterize supports q in {2, 4, 8}: at q=16 the plane table and its "
-              "pencils (17,965,585 rows each) do not fit in memory", file=sys.stderr)
+        print("characterize supports q in {2, 4, 8}: at q=16 the pencil matrix alone is "
+              "17,965,585 x 17 int32 (1.22 GB)", file=sys.stderr)
         return 2
     geom = _geometry(fam_file.q, fam_file.modulus)
     indices = _indices(geom, fam_file.records)
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-lemma1", help="check the hyperbolic incidence spectra")
-    # q=16 is refused: its 17,965,585-row plane table and pencils exhaust memory
+    # q=16 is refused: its pencil matrix alone is 17,965,585 x 17 int32 (1.22 GB)
     p.add_argument("--q", type=int, required=True, choices=(2, 4, 8))
     p.add_argument("--modulus", type=int, default=None)
     p.add_argument("--json", default=None, help="write the report here instead of stdout")

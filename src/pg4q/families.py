@@ -163,14 +163,13 @@ def check_condition_I(geom: Geometry, solids) -> ColorMap:
 def check_condition_II(geom: Geometry, solids):
     """
     Every plane inside at least one family solid must be inside at least
-    q/2 of them.  Returns (holds, violating plane indices).
+    q/2 of them.  Returns (holds, violating plane-table indices, ascending).
     """
-    fam = _normalize_family(geom, solids)
-    if not fam:
+    counts = geom.pencil_members(_normalize_family(geom, solids)).sum(axis=1)
+    bad = np.flatnonzero((counts > 0) & (counts < geom.field.q // 2))
+    if not len(bad):
         return True, ()
-    counts = geom.pencil_members(fam).sum(axis=1)
-    bad = np.nonzero((counts > 0) & (counts < geom.field.q // 2))[0]
-    return len(bad) == 0, tuple(int(i) for i in bad)
+    return False, tuple(np.sort(geom.plane_ranks(bad)).tolist())
 
 
 def partition_solids(geom: Geometry, solids, colors: ColorMap):
@@ -378,7 +377,7 @@ def _decide(geom: Geometry, fam: tuple, report: Report) -> Verdict:
     sc = structure_counts(geom, fam, colors, partition=partition)
     red_planes = sc.plane_black[geom.pencil_sums(colors.red) > 0]
     line_has_red = geom.pencil_members(colors.red).any(axis=1)
-    red_lines = geom.pencil_members(colors.black).sum(axis=1)[line_has_red]
+    red_lines = geom.pencil_members(colors.black, line_has_red).sum(axis=1)
     plane_fam = geom.pencil_members(fam).sum(axis=1)
     report.partition = {"h": len(fam), "e": len(elliptic_like), "t": len(tangent_like)}
     report.spectra["lines"] = histogram(geom.pencil_sums(fam))
@@ -394,8 +393,8 @@ def _decide(geom: Geometry, fam: tuple, report: Report) -> Verdict:
         return Verdict(INCONSISTENT, details="failed identities: " + ", ".join(failed))
 
     red_point = tuple(geom.point_array[colors.red[0]].tolist())
-    violators = tuple(np.flatnonzero((plane_fam > 0) & (plane_fam < q // 2)).tolist())
-    if violators:
+    violators = np.flatnonzero((plane_fam > 0) & (plane_fam < q // 2))
+    if len(violators):
         from .quasi import QuasiCandidate, is_quasi_quadric, solids_meeting_in
 
         ok, witness = is_quasi_quadric(geom, QuasiCandidate(frozenset(colors.black), red_point))
@@ -408,7 +407,8 @@ def _decide(geom: Geometry, fam: tuple, report: Report) -> Verdict:
                 INCONSISTENT,
                 details="family differs from the (q+1)^2-secant solids of the black set",
             )
-        return Verdict(QUASI_VERDICT, witnesses=violators, nucleus=red_point)
+        witnesses = tuple(np.sort(geom.plane_ranks(violators)).tolist())
+        return Verdict(QUASI_VERDICT, witnesses=witnesses, nucleus=red_point)
 
     if not _support_within(sc.plane_black, (1, q + 1, 2 * q + 1)):
         return Verdict(INCONSISTENT, details="plane spectrum of the black set is off-menu")

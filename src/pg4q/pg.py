@@ -15,8 +15,9 @@ Representations
 * k-subspace (line k=1, plane k=2): a row of ``SubspaceTable``, whose
   (k+1) x 5 generator matrix is in reduced row echelon form; the RREF is
   the unique canonical representative of the subspace.  Solids are
-  points by duality, so no solid table is built.  A plane reported as a
-  witness is named by its row in the plane table.
+  points by duality, so no solid table is built.  The program builds no
+  subspace table: it reaches every plane as a row of ``plane_pencils``,
+  and ``plane_ranks`` names a reported plane by its plane-table row.
 * The tuple list ``points`` with its dict ``point_index`` (and their
   aliases ``solids``, ``solid_index``) are views built on first read;
   no program path reads them.
@@ -27,8 +28,12 @@ Points and solids are listed in ascending lexicographic order of their
 canonical tuples, so (0,0,0,0,1) is index 0: the pivot blocks
 (0,...,0,1,free...) for pivot 4, 3, 2, 1, 0, each ascending in its free
 coordinates.  Subspace tables are in ascending lexicographic order of
-the flattened RREF.  Reports, file formats and tests reference these
-indices; the orders must not change.
+the flattened RREF; for planes that order only names witnesses.
+Pencil rows come in pivot-block order: the 10 plane pivot blocks
+(p0, p1, p2) in ``combinations`` order, each ascending in its free RREF
+entries.  The blocks interleave in table order; ``plane_ranks`` maps a
+row to its table index.  Reports, file formats and tests reference the
+table indices; these orders must not change.
 
 Linear algebra
 --------------
@@ -46,10 +51,12 @@ The code of a vector v is sum_i v_i q^(4-i).  For q = 2^e that is five
 e-bit fields side by side, and field addition is XOR, so code(u + v) =
 code(u) XOR code(v).  A lazy q^5 table, filled from the q-1 nonzero
 multiples of every point, maps the code of each nonzero vector to its
-point index.  A plane with annihilator rows a and b has the pencil
-{b} ∪ {a + t*b : t in GF(q)}: one (M, q) table of code(t*b), XORed with
-code(a), then one lookup.  The subspace tables sort on the flattened
-RREF read as one base-q number.
+point index.  A plane with pivots p0 < p1 < p2, free columns f0 < f1 and
+free RREF entries x has annihilator rows a = e_f0 + sum_i x[i, f0] e_pi
+and b = e_f1 + sum_i x[i, f1] e_pi, and the pencil {b} ∪ {a + t*b}: per
+pivot block one broadcast XOR of a (q+1, q) code table per free entry,
+then one lookup for all blocks.  ``plane_ranks`` sorts the flattened
+RREFs, each read as one base-q number, on its first call.
 
 Incidence counts
 ----------------
@@ -81,9 +88,9 @@ and dually, for a solid set F and a line L,
 
 Points and solids share one enumeration, so a pencil row read as point
 indices is the line ann(P), and the rows list every line exactly once
-(in plane-table order, not line-table order).  One per-solid count and
-a gather over ``plane_pencils`` thus give |X ∩ P| for every plane and
-the solids of F on every line; a value q does not divide raises
+(in pivot-block order, neither plane- nor line-table order).  One
+per-solid count and a gather over ``plane_pencils`` thus give |X ∩ P|
+for every plane and the solids of F on every line; a value q does not divide raises
 InconsistencyError.  A gather of a 0/1 indicator counts the solids of F
 on each plane, or the points of X on each line.
 
@@ -195,6 +202,20 @@ def enumerate_points(field: GF) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _pivot_blocks(rows: int):
+    """The RREF pivot blocks of `rows` rows in pivot-block order: pivots, free positions (i, c)."""
+    for piv in combinations(range(5), rows):
+        yield piv, [(i, c) for i in range(rows) for c in range(piv[i] + 1, 5) if c not in piv]
+
+
+def _block_xor(const: np.ndarray, tables) -> np.ndarray:
+    """(c, q^d): const (c,) XOR a column of each of d (c, q) tables per digit tuple, lex order."""
+    acc = const[:, None]
+    for t in tables:
+        acc = (acc[:, :, None] ^ t[:, None, :]).reshape(len(const), -1)
+    return acc
+
+
 def histogram(values) -> Counter:
     """Multiset of an integer array as a Counter {value: multiplicity}."""
     vals, mult = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
@@ -243,6 +264,7 @@ class Geometry:
         self._point_of_code: np.ndarray | None = None
         self._tables: dict[int, SubspaceTable] = {}
         self._pencils: np.ndarray | None = None
+        self._plane_ranks: np.ndarray | None = None
         self._nline_partitions: dict[int, tuple] = {}
 
     # -- tuple views ----------------------------------------------------
@@ -366,7 +388,10 @@ class Geometry:
     # -- subspace enumeration --------------------------------------------
 
     def subspace_table(self, k: int) -> SubspaceTable:
-        """Canonical sorted table of all lines (k=1) or planes (k=2), built once."""
+        """
+        Canonical sorted table of all lines (k=1) or planes (k=2), built once;
+        only perfbench's subspace-table probes and the tests build it.
+        """
         if k not in (1, 2):
             raise ValueError("subspace dimension must be 1 or 2")
         if k in self._tables:
@@ -374,10 +399,7 @@ class Geometry:
         q = self.field.q
         k1 = k + 1
         blocks, ann_blocks = [], []
-        for pivots in combinations(range(5), k1):
-            free_pos = [
-                (i, c) for i in range(k1) for c in range(pivots[i] + 1, 5) if c not in pivots
-            ]
+        for pivots, free_pos in _pivot_blocks(k1):
             nf = len(free_pos)
             count = q**nf
             digits = np.indices((q,) * nf, dtype=np.uint8).reshape(nf, count)
@@ -406,43 +428,60 @@ class Geometry:
 
     def plane_pencils(self) -> np.ndarray:
         """
-        (M, q+1) int32: for each plane P_t, in plane-table order, the
-        ascending indices of the q+1 solids containing it, built from
-        the annihilator rows by point codes (see "Point codes").  Read as
-        point indices, row t is the line ann(P_t); see "Pencil sums".
+        (M, q+1) int32 with contiguous columns: for each plane, in
+        pivot-block order, the indices of the q+1 solids containing it,
+        in no order within the row.  Read as point indices, a row is the
+        line ann(P); see "Pencil sums".  ``plane_ranks`` names the planes.
         """
         if self._pencils is None:
-            tab = self.subspace_table(2)
-            # row t: the codes of b and of a + s*b, s in GF(q), for ann rows (a, b)
-            codes = np.empty((tab.size, self.field.q + 1), dtype=np.int32)
-            codes[:, 1:] = self._scaled_codes(tab.ann_rows[:, 1])
-            codes[:, 0] = codes[:, 2]
-            codes[:, 1:] ^= (tab.ann_rows[:, 0] @ self._weights)[:, None]
-            self._pencils = self._points_by_code()[codes]
-            self._pencils.sort(axis=1)
+            q, e = self.field.q, self.field.e
+            mt = self.field.mul_table.astype(np.int32)
+            # column 0 of a row is the code of b, column 1+t that of a + t*b:
+            # a digit of a scales by (0, 1, ..., 1), one of b by (1, 0, 1, ..., q-1)
+            by_a, by_b = mt[[0] + [1] * q], mt[[1, *range(q)]]
+            blocks = []
+            for piv, free in _pivot_blocks(3):
+                f0, f1 = (c for c in range(5) if c not in piv)
+                const = (by_a[:, 1] << e * (4 - f0)) ^ (by_b[:, 1] << e * (4 - f1))
+                tables = [(by_a if c == f0 else by_b) << e * (4 - piv[i]) for i, c in free]
+                blocks.append(_block_xor(const, tables))
+            self._pencils = self._points_by_code()[np.concatenate(blocks, axis=1)].T
         return self._pencils
+
+    def plane_ranks(self, rows) -> np.ndarray:
+        """Plane-table index of each given pencil row; see "Point codes"."""
+        if self._plane_ranks is None:
+            e, digits = self.field.e, np.arange(self.field.q, dtype=np.int64)[None]
+            keys = np.concatenate([
+                _block_xor(np.array([sum(1 << e * (14 - 5 * i - p) for i, p in enumerate(piv))]),
+                           [digits << e * (14 - 5 * i - c) for i, c in free])[0]
+                for piv, free in _pivot_blocks(3)])
+            self._plane_ranks = np.empty(len(keys), dtype=np.int64)
+            self._plane_ranks[np.argsort(keys)] = np.arange(len(keys))
+        return self._plane_ranks[np.asarray(rows, dtype=np.int64)]
 
     def pencil_sums(self, indices) -> np.ndarray:
         """
-        Per pencil row t, |X ∩ P_t| for a point set X and the plane P_t;
-        by duality, for a solid set X, how many of its solids contain
-        the line of row t.  Duplicate indices count once.
+        Per pencil row, in ``plane_pencils`` order, |X ∩ P| for a point set X
+        and the row's plane P; by duality, for a solid set X, how many of its
+        solids contain the row's line.  Duplicate indices count once.
         """
         q = self.field.q
-        idx = np.unique(np.asarray(list(indices), dtype=np.int64))
+        idx = np.flatnonzero(np.bincount(list(indices), minlength=self.n))  # unique, no np.ma
         counts = self.incidence_counts_per_solid(idx)
         # one pencil column at a time, so no (M, q+1) gather is made
         num = sum(counts[c] for c in self.plane_pencils().T) - len(idx)
         bad = np.flatnonzero(num % q)
         if len(bad):
-            raise InconsistencyError(f"pencil sum of plane {bad[0]} is not divisible by q")
+            plane = self.plane_ranks(bad).min()
+            raise InconsistencyError(f"pencil sum of plane {plane} is not divisible by q")
         return num // q
 
-    def pencil_members(self, indices) -> np.ndarray:
-        """(M, q+1) bool: which entries of each pencil row are in the given set."""
+    def pencil_members(self, indices, rows=slice(None)) -> np.ndarray:
+        """(R, q+1) bool: which entries of the given pencil rows (default all) are in the set."""
         member = np.zeros(self.n, dtype=bool)
         member[np.asarray(list(indices), dtype=np.int64)] = True
-        return member[self.plane_pencils()]
+        return member[self.plane_pencils()[rows]]
 
     def nline_partition(self, point_idx: int):
         """

@@ -61,3 +61,13 @@ def no_mirror(monkeypatch):
 
     for name in ("points", "point_index", "solids", "solid_index"):
         monkeypatch.setattr(Geometry, name, property(read))
+
+
+@pytest.fixture
+def no_subspace_table(monkeypatch):
+    """Make any build of a sorted subspace table fail the test."""
+
+    def build(self, k):
+        raise AssertionError("a program path built a subspace table")
+
+    monkeypatch.setattr(Geometry, "subspace_table", build)

@@ -29,7 +29,7 @@ from pg4q.families import (
     verify_hyperbolic_spectra,
 )
 from pg4q.gf import GF
-from pg4q.pg import Geometry, InconsistencyError, histogram, null_space
+from pg4q.pg import Geometry, InconsistencyError, dots, histogram, null_space
 from pg4q.quadric import (
     MONOMIALS,
     apply_collineation,
@@ -100,9 +100,14 @@ def test_condition_II(geom2, geom4, hyp2, hyp4):
     ok4, bad4 = check_condition_II(geom4, hyp4.hyperbolic)
     assert ok4 and not bad4
     # a single solid at q=4: each of its planes lies in 1 < 2 family solids
-    ok1, bad1 = check_condition_II(geom4, [hyp4.hyperbolic[0]])
+    solid = hyp4.hyperbolic[0]
+    ok1, bad1 = check_condition_II(geom4, [solid])
     assert not ok1
     assert len(bad1) == 85  # planes of one solid
+    # exactly the planes whose three RREF rows lie in it, by plane-table index
+    rows = geom4.subspace_table(2).rref
+    on = dots(geom4.field, geom4.point_array[[solid]], rows.reshape(-1, 5)) == 0
+    assert bad1 == tuple(np.flatnonzero(on.reshape(-1, 3).all(axis=1)).tolist())
     assert check_condition_II(geom4, []) == (True, ())
 
 
@@ -286,15 +291,26 @@ def test_characterize_pencil_inconsistency_propagates(hyp2, monkeypatch):
 
 
 def test_characterize_pencil_gathers(hyp2, monkeypatch):
-    # one pencil sum and one indicator gather each for the black set, the
-    # red point and the family
+    # one pencil sum each for the black set, the red point and the family;
+    # one indicator gather over all rows each for the red point and the
+    # family, and one for the black set over the rows through the red point
     geom = Geometry(GF(1))
     calls = Counter()
+
+    def record(name, method):
+        def call(*args):
+            out = method(*args)
+            calls.update([(name, len(out) == 155)])  # every row of PG(4,2)
+            return out
+
+        return call
+
     for name in ("pencil_sums", "pencil_members"):
-        method = getattr(geom, name)
-        monkeypatch.setattr(geom, name, lambda idx, m=method, n=name: calls.update([n]) or m(idx))
+        monkeypatch.setattr(geom, name, record(name, getattr(geom, name)))
     assert characterize(geom, hyp2.hyperbolic).verdict.kind == QUADRIC_VERDICT
-    assert calls == Counter(pencil_sums=3, pencil_members=3)
+    assert calls == Counter(
+        {("pencil_sums", True): 3, ("pencil_members", True): 2, ("pencil_members", False): 1}
+    )
 
 
 # -- the InternalInconsistency exits of characterize ---------------------------

@@ -82,7 +82,7 @@ def run_cases(work: Path, space) -> dict:
     return got
 
 
-def test_golden_outputs(tmp_path, reference_space, capsys, no_mirror):
+def test_golden_outputs(tmp_path, reference_space, capsys, no_mirror, no_subspace_table):
     want = json.loads(GOLDEN.read_text())
     got = run_cases(tmp_path, reference_space)
     assert sorted(got) == sorted(want)
@@ -93,7 +93,7 @@ def test_golden_outputs(tmp_path, reference_space, capsys, no_mirror):
     assert report["verdict"]["witnesses"]
 
 
-def test_export_q16_reads_no_mirror(tmp_path, no_mirror):
+def test_export_q16_reads_no_mirror(tmp_path, no_mirror, no_subspace_table):
     # q=16 is outside golden.json; the digest was recorded when the export
     # still looked its records up through Geometry.solids
     out = tmp_path / "hyperbolic-q16.txt"

@@ -306,7 +306,7 @@ def _line_of_pencil_row(geom):
     for t, (a, b, c) in enumerate(_indices(geom, geom.subspace_table(1).ann_rows)):
         m = sm[a] & sm[b] & sm[c]
         index[tuple(i for i in range(geom.n) if (m >> i) & 1)] = t
-    rows = np.array([index[tuple(r)] for r in geom.plane_pencils().tolist()])
+    rows = np.array([index[tuple(sorted(r))] for r in geom.plane_pencils().tolist()])
     assert sorted(rows.tolist()) == list(range(geom.subspace_table(1).size))
     return rows
 
@@ -328,6 +328,7 @@ def test_family_point_masks(geom2, geom4):
     for geom in (geom2, geom4):
         rng = np.random.default_rng(geom.field.q)
         line = _line_of_pencil_row(geom)
+        plane = geom.plane_ranks(np.arange(len(line)))  # the oracles are in table order
         classes = classify_all_solids(geom, canonical_q4(geom.field))
         hyp = classes.hyperbolic
         random_fam = tuple(np.flatnonzero(rng.random(geom.n) < 0.3).tolist())
@@ -337,14 +338,14 @@ def test_family_point_masks(geom2, geom4):
             black, red = (np.flatnonzero(rng.random(geom.n) < p).tolist() for p in (0.4, 0.05))
             point_sets = [(colors.black, colors.red), (black, red)]
             assert np.array_equal(
-                geom.pencil_members(fam).sum(axis=1), _oracle_family_counts(geom, fam, 2)
+                geom.pencil_members(fam).sum(axis=1), _oracle_family_counts(geom, fam, 2)[plane]
             )
             assert np.array_equal(geom.pencil_sums(fam), _oracle_family_counts(geom, fam, 1)[line])
             for black, red in point_sets:
                 got_black, got_red = geom.pencil_sums(black), geom.pencil_sums(red) > 0
                 want_black, want_red = _oracle_black(geom, black, red, 2)
-                assert np.array_equal(got_black, want_black)
-                assert np.array_equal(got_red, want_red)
+                assert np.array_equal(got_black, want_black[plane])
+                assert np.array_equal(got_red, want_red[plane])
                 got_black = geom.pencil_members(black).sum(axis=1)
                 got_red = geom.pencil_members(red).any(axis=1)
                 want_black, want_red = _oracle_black(geom, black, red, 1)
@@ -365,9 +366,13 @@ def test_pencil_sums_divisibility_check():
         if p not in geom.solids_through_point(pencils[0][0])
     )
     geom.pencil_sums([p])  # consistent before the corruption
+    # the plane of row 0 in the plane table: the row its pencil annihilates
+    rref_rows = geom.subspace_table(2).rref
+    on = dots(geom.field, geom.point_array[pencils[0]], rref_rows.reshape(-1, 5)) == 0
+    (plane,) = np.flatnonzero(on.reshape(len(pencils[0]), -1, 3).all(axis=(0, 2)))
     pencils[0][0] = stranger  # row 0 is no longer the pencil of a plane
     geom._pencils = pencils
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InconsistencyError, match=f"pencil sum of plane {plane} is not"):
         geom.pencil_sums([p])
 
 
@@ -385,23 +390,39 @@ def test_annihilator_table(geom2, reference_space):
         assert all((m >> p) & 1 for p in pts)
 
 
+def _pencil_rows_as_sets(geom, expected):
+    """Assert that each pencil row, as a set, is the expected sorted row at its plane's rank."""
+    pencils = geom.plane_pencils()
+    ranks = geom.plane_ranks(np.arange(len(pencils)))
+    assert sorted(ranks.tolist()) == list(range(len(pencils)))
+    assert np.array_equal(np.sort(pencils, axis=1), np.asarray(expected)[ranks])
+
+
 def test_plane_pencils(geom2, geom4, geom8, reference_space):
     # the pencil of a plane: the solids whose covector annihilates all
-    # three of its RREF rows
+    # three RREF rows of the plane at the row's plane-table rank
     for geom in (geom2, geom4):
         ref = reference_space(geom.field.q)
+        pencils = geom.plane_pencils()
+        ranks = geom.plane_ranks(np.arange(len(pencils)))
+        assert sorted(ranks.tolist()) == list(range(len(pencils)))
         rows = geom.subspace_table(2).rref
-        on = (ref.dots(ref.points, rows.reshape(-1, 5)) == 0).reshape(geom.n, len(rows), 3)
-        expected = [np.flatnonzero(col).tolist() for col in on.all(axis=2).T]
-        assert geom.plane_pencils().tolist() == expected
-    # q=8, row by row: q+1 distinct ascending solids, each annihilating the
-    # RREF rows of the plane in the same table row, and no row repeated
+        for on in (
+            dots(geom.field, geom.point_array, rows.reshape(-1, 5)) == 0,
+            ref.dots(ref.points, rows.reshape(-1, 5)) == 0,
+        ):
+            expected = [np.flatnonzero(c) for c in on.reshape(geom.n, -1, 3).all(axis=2).T]
+            assert np.array_equal(np.sort(pencils, axis=1), np.array(expected)[ranks])
+    # q=8, row by row: q+1 distinct solids, each annihilating the RREF rows
+    # of the plane at the row's rank, and no row repeated as a set
     ref = reference_space(8)
-    pencils = geom8.plane_pencils()
+    pencils = np.sort(geom8.plane_pencils(), axis=1)
+    ranks = geom8.plane_ranks(np.arange(len(pencils)))
+    assert sorted(ranks.tolist()) == list(range(len(pencils)))
     assert pencils.shape == (geom8.subspace_table(2).size, 9)
     assert (np.diff(pencils, axis=1) > 0).all()
     solids = ref.points[pencils][:, :, None, :]
-    rows = geom8.subspace_table(2).rref[:, None, :, :]
+    rows = geom8.subspace_table(2).rref[ranks][:, None, :, :]
     acc = ref.mul[solids[..., 0], rows[..., 0]]
     for i in range(1, 5):
         acc ^= ref.mul[solids[..., i], rows[..., i]]
