@@ -209,7 +209,7 @@ def _pivot_blocks(rows: int):
 
 
 def _block_xor(const: np.ndarray, tables) -> np.ndarray:
-    """(c, q^d): const (c,) XOR a column of each of d (c, q) tables per digit tuple, lex order."""
+    """(c, q^d): per digit tuple, in lex order, const (c,) XOR that column of each (c, q) table."""
     acc = const[:, None]
     for t in tables:
         acc = (acc[:, :, None] ^ t[:, None, :]).reshape(len(const), -1)

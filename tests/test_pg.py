@@ -390,14 +390,6 @@ def test_annihilator_table(geom2, reference_space):
         assert all((m >> p) & 1 for p in pts)
 
 
-def _pencil_rows_as_sets(geom, expected):
-    """Assert that each pencil row, as a set, is the expected sorted row at its plane's rank."""
-    pencils = geom.plane_pencils()
-    ranks = geom.plane_ranks(np.arange(len(pencils)))
-    assert sorted(ranks.tolist()) == list(range(len(pencils)))
-    assert np.array_equal(np.sort(pencils, axis=1), np.asarray(expected)[ranks])
-
-
 def test_plane_pencils(geom2, geom4, geom8, reference_space):
     # the pencil of a plane: the solids whose covector annihilates all
     # three RREF rows of the plane at the row's plane-table rank
@@ -407,12 +399,9 @@ def test_plane_pencils(geom2, geom4, geom8, reference_space):
         ranks = geom.plane_ranks(np.arange(len(pencils)))
         assert sorted(ranks.tolist()) == list(range(len(pencils)))
         rows = geom.subspace_table(2).rref
-        for on in (
-            dots(geom.field, geom.point_array, rows.reshape(-1, 5)) == 0,
-            ref.dots(ref.points, rows.reshape(-1, 5)) == 0,
-        ):
-            expected = [np.flatnonzero(c) for c in on.reshape(geom.n, -1, 3).all(axis=2).T]
-            assert np.array_equal(np.sort(pencils, axis=1), np.array(expected)[ranks])
+        on = (ref.dots(ref.points, rows.reshape(-1, 5)) == 0).reshape(geom.n, len(rows), 3)
+        expected = np.array([np.flatnonzero(col) for col in on.all(axis=2).T])
+        assert np.array_equal(np.sort(pencils, axis=1), expected[ranks])
     # q=8, row by row: q+1 distinct solids, each annihilating the RREF rows
     # of the plane at the row's rank, and no row repeated as a set
     ref = reference_space(8)
