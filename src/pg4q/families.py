@@ -115,7 +115,9 @@ class StructureCounts:
     partition: tuple  # (tangent-type solids, elliptic-type solids)
     solid_black: np.ndarray
     black_hist: dict
-    plane_black: np.ndarray
+    plane_black: Counter  # histogram of the black points per plane
+    spectra: dict  # the family's "lines" and "planes" histograms
+    thin_rows: np.ndarray  # pencil rows of the planes in 1 to q/2 - 1 family solids
 
 
 def _normalize_family(geom: Geometry, solids) -> tuple:
@@ -165,11 +167,18 @@ def check_condition_II(geom: Geometry, solids):
     Every plane inside at least one family solid must be inside at least
     q/2 of them.  Returns (holds, violating plane-table indices, ascending).
     """
-    counts = geom.pencil_members(_normalize_family(geom, solids)).sum(axis=1)
-    bad = np.flatnonzero((counts > 0) & (counts < geom.field.q // 2))
+    q = geom.field.q
+    in_fam = np.bincount(list(_normalize_family(geom, solids)), minlength=geom.n) > 0
+    bad = np.concatenate([_thin_rows(start, count, q)
+                          for start, _, (count,) in geom.pencil_totals([in_fam])])
     if not len(bad):
         return True, ()
     return False, tuple(np.sort(geom.plane_ranks(bad)).tolist())
+
+
+def _thin_rows(start: int, plane_fam: np.ndarray, q: int) -> np.ndarray:
+    """The pencil rows, from `start` on, of the planes in 1 to q/2 - 1 family solids."""
+    return start + np.flatnonzero((plane_fam > 0) & (plane_fam < q // 2))
 
 
 def partition_solids(geom: Geometry, solids, colors: ColorMap):
@@ -203,8 +212,11 @@ def structure_counts(
     The exact identity chain for a family with a clean colouring:
     divisibility of the family size, residues of the normalised size h,
     the double- and triple-count identities, the colour census, black
-    counts per solid of each class, and the per-family-solid plane sums.
-    Mismatches are recorded as findings, never raised.
+    counts per solid of each class, the per-family-solid plane sums, and
+    the black counts of the planes and lines through the red point.
+    Mismatches are recorded as findings, never raised.  The plane and line
+    counts come from one pass over the pencil rows, which also gives the
+    family's line and plane spectra and its condition II violators.
     """
     q = geom.field.q
     fam = _normalize_family(geom, solids)
@@ -256,20 +268,47 @@ def structure_counts(
         identities.append(_count_identity(f"{label}-black-counts", vals, target))
         black_hist[label] = histogram(vals)
 
-    plane_black = geom.pencil_sums(colors.black)
-    # per solid, sums over its planes: one bincount per pencil column (exact in float64)
-    pencils = geom.plane_pencils()
-    pairs = plane_black * (plane_black - 1)
-    sum1 = sum(np.bincount(c, weights=plane_black, minlength=geom.n) for c in pencils.T)
-    sum2 = sum(np.bincount(c, weights=pairs, minlength=geom.n) for c in pencils.T)
+    # one pencil pass.  Per row: the black, red and family counts of its
+    # plane, each checked for divisibility in that order, and, read as a
+    # line, its red and black points.  Per solid: both sums over its planes,
+    # in one float64 weight sum1 + k * sum2 (exact below 2^53), with
+    # sum1 <= planes per solid * points per plane < k
+    k = 1 << ((q**3 + q**2 + q + 1) * (q * q + q + 1)).bit_length()
+    member = [np.bincount(list(s), minlength=geom.n) > 0 for s in (fam, colors.red, colors.black)]
+    tables = (solid_black, geom.incidence_counts_per_solid(colors.red), colors.counts, *member)
+    bad = ([], [], [])
+    plane_black, lines, planes = Counter(), Counter(), Counter()
+    red_planes, red_lines, thin = [], [], []
+    sums = np.zeros(geom.n)
+    for start, run, (black_sum, red_sum, fam_sum, plane_fam, line_red, line_black) in (
+        geom.pencil_totals(tables)
+    ):
+        pb = geom.pencil_quotients(black_sum, len(colors.black), start, bad[0])
+        red_plane = geom.pencil_quotients(red_sum, len(colors.red), start, bad[1]) > 0
+        lines.update(histogram(geom.pencil_quotients(fam_sum, len(fam), start, bad[2])))
+        plane_black.update(histogram(pb))
+        planes.update(histogram(plane_fam))
+        red_planes.append(pb[red_plane])
+        red_lines.append(line_black[line_red > 0])
+        thin.append(_thin_rows(start, plane_fam, q))
+        weight = (pb + k * pb * (pb - 1)).astype(np.float64)
+        for c in run.T:
+            sums += np.bincount(c, weights=weight, minlength=geom.n)
+    for rows in bad:
+        geom.check_divisible(rows)
+    assert sums.max() < 2**53
+    per_solid = sums.astype(np.int64)[list(fam)]
+    sum1, sum2 = per_solid % k, per_solid // k
     t1 = (q + 1) ** 2 * (q * q + q + 1)
     t2 = (q + 1) ** 3 * (q * q + 2 * q)
-    identities.append(_count_identity("plane-black-sum-per-family-solid", sum1[list(fam)], t1))
-    identities.append(
-        _count_identity("plane-black-pair-sum-per-family-solid", sum2[list(fam)], t2)
-    )
-
-    return StructureCounts(h, tuple(identities), partition, solid_black, black_hist, plane_black)
+    identities += [
+        _count_identity("plane-black-sum-per-family-solid", sum1, t1),
+        _count_identity("plane-black-pair-sum-per-family-solid", sum2, t2),
+        _count_identity("red-plane-black-counts", np.concatenate(red_planes), q + 1),
+        _count_identity("red-line-black-counts", np.concatenate(red_lines), 1),
+    ]
+    return StructureCounts(h, tuple(identities), partition, solid_black, black_hist,
+                           plane_black, {"lines": lines, "planes": planes}, np.concatenate(thin))
 
 
 def solid_spectrum(geom: Geometry, point_indices) -> Counter:
@@ -308,8 +347,8 @@ def fit_quadratic_form(geom: Geometry, point_indices):
     return form
 
 
-def _support_within(values, allowed) -> bool:
-    return set(histogram(values)) <= set(allowed)
+def _support_within(hist: Counter, allowed) -> bool:
+    return set(hist) <= set(allowed)
 
 
 def characterize(geom: Geometry, solids) -> Report:
@@ -375,26 +414,16 @@ def _decide(geom: Geometry, fam: tuple, report: Report) -> Verdict:
         return Verdict(INCONSISTENT, details=str(exc))
 
     sc = structure_counts(geom, fam, colors, partition=partition)
-    red_planes = sc.plane_black[geom.pencil_sums(colors.red) > 0]
-    line_has_red = geom.pencil_members(colors.red).any(axis=1)
-    red_lines = geom.pencil_members(colors.black, line_has_red).sum(axis=1)
-    plane_fam = geom.pencil_members(fam).sum(axis=1)
     report.partition = {"h": len(fam), "e": len(elliptic_like), "t": len(tangent_like)}
-    report.spectra["lines"] = histogram(geom.pencil_sums(fam))
-    report.spectra["planes"] = histogram(plane_fam)
-    report.spectra["solids"] = histogram(sc.solid_black)
-    report.identities = sc.identities + (
-        _count_identity("red-plane-black-counts", red_planes, q + 1),
-        _count_identity("red-line-black-counts", red_lines, 1),
-    )
+    report.spectra.update(sc.spectra, solids=histogram(sc.solid_black))
+    report.identities = sc.identities
     report.black_hist = sc.black_hist
     failed = [i.name for i in report.identities if not i.holds]
     if failed:
         return Verdict(INCONSISTENT, details="failed identities: " + ", ".join(failed))
 
     red_point = tuple(geom.point_array[colors.red[0]].tolist())
-    violators = np.flatnonzero((plane_fam > 0) & (plane_fam < q // 2))
-    if len(violators):
+    if len(sc.thin_rows):
         from .quasi import QuasiCandidate, is_quasi_quadric, solids_meeting_in
 
         ok, witness = is_quasi_quadric(geom, QuasiCandidate(frozenset(colors.black), red_point))
@@ -407,12 +436,12 @@ def _decide(geom: Geometry, fam: tuple, report: Report) -> Verdict:
                 INCONSISTENT,
                 details="family differs from the (q+1)^2-secant solids of the black set",
             )
-        witnesses = tuple(np.sort(geom.plane_ranks(violators)).tolist())
+        witnesses = tuple(np.sort(geom.plane_ranks(sc.thin_rows)).tolist())
         return Verdict(QUASI_VERDICT, witnesses=witnesses, nucleus=red_point)
 
     if not _support_within(sc.plane_black, (1, q + 1, 2 * q + 1)):
         return Verdict(INCONSISTENT, details="plane spectrum of the black set is off-menu")
-    if not _support_within(sc.solid_black, (q * q + 1, q * q + q + 1, (q + 1) ** 2)):
+    if not _support_within(report.spectra["solids"], (q * q + 1, q * q + q + 1, (q + 1) ** 2)):
         return Verdict(INCONSISTENT, details="solid spectrum of the black set is off-menu")
     form = fit_quadratic_form(geom, colors.black)
     if form is None:
@@ -441,9 +470,16 @@ def verify_hyperbolic_spectra(geom: Geometry, form: QuadraticForm) -> dict:
     q = geom.field.q
     classes = classify_all_solids(geom, form)
     fam = classes.hyperbolic
-    points = histogram(point_incidence_counts(geom, fam))
-    lines = histogram(geom.pencil_sums(fam))
-    planes = histogram(geom.pencil_members(fam).sum(axis=1))
+    counts = point_incidence_counts(geom, fam)
+    in_fam = np.bincount(fam, minlength=geom.n) > 0
+    lines, planes, bad = Counter(), Counter(), []
+    # one pencil pass: a row's pencil sum of the counts is q times the
+    # family solids on its line plus |F|, and its family members those on its plane
+    for start, _, (line_sum, plane_count) in geom.pencil_totals([counts, in_fam]):
+        lines.update(histogram(geom.pencil_quotients(line_sum, len(fam), start, bad)))
+        planes.update(histogram(plane_count))
+    geom.check_divisible(bad)
+    points = histogram(counts)
     allowed = {
         "points": {0, q**3 // 2, (q**3 + q**2) // 2},
         "lines": {0, q * (q - 1) // 2, q * q // 2, q * (q + 1) // 2, q * q},

@@ -16,8 +16,9 @@ Representations
   (k+1) x 5 generator matrix is in reduced row echelon form; the RREF is
   the unique canonical representative of the subspace.  Solids are
   points by duality, so no solid table is built.  The program builds no
-  subspace table: it reaches every plane as a row of ``plane_pencils``,
-  and ``plane_ranks`` names a reported plane by its plane-table row.
+  subspace table: it reaches every plane as a pencil row, streamed in
+  runs by ``pencil_runs`` and kept by nobody, and ``plane_ranks`` names
+  a reported plane by its plane-table row.
 * The tuple list ``points`` with its dict ``point_index`` (and their
   aliases ``solids``, ``solid_index``) are views built on first read;
   no program path reads them.
@@ -54,9 +55,14 @@ multiples of every point, maps the code of each nonzero vector to its
 point index.  A plane with pivots p0 < p1 < p2, free columns f0 < f1 and
 free RREF entries x has annihilator rows a = e_f0 + sum_i x[i, f0] e_pi
 and b = e_f1 + sum_i x[i, f1] e_pi, and the pencil {b} ∪ {a + t*b}: per
-pivot block one broadcast XOR of a (q+1, q) code table per free entry,
-then one lookup for all blocks.  ``plane_ranks`` sorts the flattened
-RREFs, each read as one base-q number, on its first call.
+pivot block one broadcast XOR of a (q+1, q) code table per free entry.
+A block of more than _RUN_ROWS (2^15) rows is cut on its leading free
+entries: their XOR gives one code column per digit prefix, and each
+column starts the XOR of the remaining entries.  Consecutive pieces
+merge into runs of at most _RUN_ROWS rows, and each run takes one
+lookup.  So q <= 4 is one run, q=8 ten and q=16 549, and no
+(M, q+1) array is built.  ``plane_ranks`` sorts the flattened RREFs,
+each read as one base-q number, on its first call.
 
 Incidence counts
 ----------------
@@ -89,15 +95,24 @@ and dually, for a solid set F and a line L,
 Points and solids share one enumeration, so a pencil row read as point
 indices is the line ann(P), and the rows list every line exactly once
 (in pivot-block order, neither plane- nor line-table order).  One
-per-solid count and a gather over ``plane_pencils`` thus give |X ∩ P|
-for every plane and the solids of F on every line; a value q does not divide raises
-InconsistencyError.  A gather of a 0/1 indicator counts the solids of F
-on each plane, or the points of X on each line.
+per-solid count summed over each row thus gives |X ∩ P| for every plane
+and the solids of F on every line (``pencil_quotients``); a value q does
+not divide raises InconsistencyError (``check_divisible``) naming the
+least plane-table index among the bad rows.  A sum of a 0/1 indicator
+counts the solids of F on each plane, or the points of X on each line.
+
+``pencil_totals`` sums several such tables in one pass over the runs.
+The tables are non-negative, so a row's sum of a table is at most (q+1)
+times its largest entry; each table gets a field that wide in an int64
+word, packed once per pass, and one gather-add per pencil column and
+word sums every field at once.  Callers reduce each run as it comes
+(histograms, witnesses, per-solid bincounts) and keep no per-row table.
 
 All Geometry state is immutable once built; derived tables (subspace
-tables, incidence masks, the character and point-code tables) are
-computed lazily but are pure functions of the field, so repeated or
-concurrent builds are harmless.
+tables, incidence masks, the character and point-code tables, the plane
+ranks) are computed lazily but are pure functions of the field, so
+repeated or concurrent builds are harmless.  The pencil rows are not a
+table: each pass rebuilds its runs from the codes.
 """
 
 from __future__ import annotations
@@ -110,6 +125,9 @@ from itertools import combinations
 import numpy as np
 
 from .gf import GF
+
+# most pencil rows in one run of Geometry.pencil_runs
+_RUN_ROWS = 1 << 15
 
 __all__ = [
     "InconsistencyError",
@@ -218,8 +236,13 @@ def _block_xor(const: np.ndarray, tables) -> np.ndarray:
 
 def histogram(values) -> Counter:
     """Multiset of an integer array as a Counter {value: multiplicity}."""
-    vals, mult = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
-    return Counter(dict(zip(vals.tolist(), mult.tolist())))
+    v = np.asarray(values, dtype=np.int64).ravel()
+    if not len(v):
+        return Counter()
+    lo = int(v.min())  # a bincount from the least value; np.unique would import np.ma
+    mult = np.bincount(v - lo)
+    vals = np.flatnonzero(mult)
+    return Counter(dict(zip((vals + lo).tolist(), mult[vals].tolist())))
 
 
 @dataclass
@@ -263,7 +286,6 @@ class Geometry:
         self._codes: np.ndarray | None = None
         self._point_of_code: np.ndarray | None = None
         self._tables: dict[int, SubspaceTable] = {}
-        self._pencils: np.ndarray | None = None
         self._plane_ranks: np.ndarray | None = None
         self._nline_partitions: dict[int, tuple] = {}
 
@@ -426,27 +448,98 @@ class Geometry:
         self._tables[k] = tab
         return tab
 
+    def pencil_runs(self):
+        """
+        The pencil rows in pivot-block order, as consecutive (m, q+1) int32
+        runs with contiguous columns: for each plane, the indices of the q+1
+        solids containing it, in no order within the row.  Read as point
+        indices, a row is the line ann(P); see "Pencil sums".  A block of
+        more than _RUN_ROWS rows splits on its leading free digits, and
+        consecutive small blocks merge, so no run exceeds _RUN_ROWS rows.
+        """
+        q, e = self.field.q, self.field.e
+        mt = self.field.mul_table.astype(np.intp)
+        # column 0 of a row is the code of b, column 1+t that of a + t*b:
+        # a digit of a scales by (0, 1, ..., 1), one of b by (1, 0, 1, ..., q-1)
+        by_a, by_b = mt[[0] + [1] * q], mt[[1, *range(q)]]
+        budget, pending, rows = _RUN_ROWS, [], 0
+
+        def run():
+            codes = pending[0] if len(pending) == 1 else np.concatenate(pending, axis=1)
+            return self._points_by_code()[codes].T
+
+        for piv, free in _pivot_blocks(3):
+            f0, f1 = (c for c in range(5) if c not in piv)
+            const = (by_a[:, 1] << e * (4 - f0)) ^ (by_b[:, 1] << e * (4 - f1))
+            tables = [(by_a if c == f0 else by_b) << e * (4 - piv[i]) for i, c in free]
+            lead = 0
+            while q ** (len(tables) - lead) > budget:
+                lead += 1
+            size = q ** (len(tables) - lead)
+            for head in _block_xor(const, tables[:lead]).T:
+                if rows + size > budget:
+                    yield run()
+                    pending, rows = [], 0
+                pending.append(_block_xor(head, tables[lead:]))
+                rows += size
+        yield run()
+
+    def pencil_totals(self, tables):
+        """
+        Per run of ``pencil_runs``: its first row, the run, and for each of k
+        non-negative (n,) integer tables an (m,) int64 array, the sum of the
+        table's entries over each row.  The tables are packed once into int64
+        words, each field as wide as the bit length of (q+1) * max(table), so
+        one gather-add per pencil column and word sums them all.
+        """
+        q = self.field.q
+        words, fields, shift = [], [], 64
+        for t in tables:
+            t = np.asarray(t, dtype=np.int64)
+            width = ((q + 1) * int(t.max(initial=0))).bit_length()
+            if t.min(initial=0) < 0 or width > 63:
+                raise ValueError("a packed table must be non-negative and fit 63 bits per row")
+            if shift + width > 63:
+                words.append(np.zeros(self.n, dtype=np.int64))
+                shift = 0
+            words[-1] |= t << shift
+            fields.append((len(words) - 1, shift, (1 << width) - 1))
+            shift += width
+        start = 0
+        for run in self.pencil_runs():
+            sums = []
+            for w in words:
+                acc = w[run[:, 0]]
+                for c in range(1, q + 1):
+                    acc += w[run[:, c]]
+                sums.append(acc)
+            yield start, run, [sums[i] >> s & m for i, s, m in fields]
+            start += len(run)
+
+    def pencil_quotients(self, totals, size: int, start: int, bad: list) -> np.ndarray:
+        """
+        (totals - size) / q: from a run's sums of a per-solid count of a set X
+        of `size` points, |X ∩ P| for each row's plane P (see "Pencil sums").
+        The global rows that q does not divide are appended to `bad`.
+        """
+        num = totals - size
+        rows = np.flatnonzero(num & (self.field.q - 1))  # q = 2^e
+        if len(rows):
+            bad.append(start + rows)
+        return num >> self.field.e
+
+    def check_divisible(self, bad: list) -> None:
+        """Raise InconsistencyError naming the least plane-table index among the bad rows."""
+        if bad:
+            plane = self.plane_ranks(np.concatenate(bad)).min()
+            raise InconsistencyError(f"pencil sum of plane {plane} is not divisible by q")
+
     def plane_pencils(self) -> np.ndarray:
         """
-        (M, q+1) int32 with contiguous columns: for each plane, in
-        pivot-block order, the indices of the q+1 solids containing it,
-        in no order within the row.  Read as point indices, a row is the
-        line ann(P); see "Pencil sums".  ``plane_ranks`` names the planes.
+        (M, q+1) int32: every run of ``pencil_runs``, concatenated.  Only
+        perfbench's pg.plane_pencils probe and the tests call it.
         """
-        if self._pencils is None:
-            q, e = self.field.q, self.field.e
-            mt = self.field.mul_table.astype(np.int32)
-            # column 0 of a row is the code of b, column 1+t that of a + t*b:
-            # a digit of a scales by (0, 1, ..., 1), one of b by (1, 0, 1, ..., q-1)
-            by_a, by_b = mt[[0] + [1] * q], mt[[1, *range(q)]]
-            blocks = []
-            for piv, free in _pivot_blocks(3):
-                f0, f1 = (c for c in range(5) if c not in piv)
-                const = (by_a[:, 1] << e * (4 - f0)) ^ (by_b[:, 1] << e * (4 - f1))
-                tables = [(by_a if c == f0 else by_b) << e * (4 - piv[i]) for i, c in free]
-                blocks.append(_block_xor(const, tables))
-            self._pencils = self._points_by_code()[np.concatenate(blocks, axis=1)].T
-        return self._pencils
+        return np.concatenate(list(self.pencil_runs()))
 
     def plane_ranks(self, rows) -> np.ndarray:
         """Plane-table index of each given pencil row; see "Point codes"."""
@@ -462,26 +555,17 @@ class Geometry:
 
     def pencil_sums(self, indices) -> np.ndarray:
         """
-        Per pencil row, in ``plane_pencils`` order, |X ∩ P| for a point set X
-        and the row's plane P; by duality, for a solid set X, how many of its
+        Per pencil row, in pivot-block order, |X ∩ P| for a point set X and
+        the row's plane P; by duality, for a solid set X, how many of its
         solids contain the row's line.  Duplicate indices count once.
         """
-        q = self.field.q
         idx = np.flatnonzero(np.bincount(list(indices), minlength=self.n))  # unique, no np.ma
         counts = self.incidence_counts_per_solid(idx)
-        # one pencil column at a time, so no (M, q+1) gather is made
-        num = sum(counts[c] for c in self.plane_pencils().T) - len(idx)
-        bad = np.flatnonzero(num % q)
-        if len(bad):
-            plane = self.plane_ranks(bad).min()
-            raise InconsistencyError(f"pencil sum of plane {plane} is not divisible by q")
-        return num // q
-
-    def pencil_members(self, indices, rows=slice(None)) -> np.ndarray:
-        """(R, q+1) bool: which entries of the given pencil rows (default all) are in the set."""
-        member = np.zeros(self.n, dtype=bool)
-        member[np.asarray(list(indices), dtype=np.int64)] = True
-        return member[self.plane_pencils()[rows]]
+        bad: list = []
+        out = np.concatenate([self.pencil_quotients(totals, len(idx), start, bad)
+                              for start, _, (totals,) in self.pencil_totals([counts])])
+        self.check_divisible(bad)
+        return out
 
     def nline_partition(self, point_idx: int):
         """

@@ -193,4 +193,8 @@ def apply_collineation(form: QuadraticForm, m) -> QuadraticForm:
 
 def line_profile(geom: Geometry, point_indices) -> Counter:
     """Histogram of |K ∩ L| over all lines L, for K the given point set."""
-    return histogram(geom.pencil_members(point_indices).sum(axis=1))
+    member = np.bincount(list(point_indices), minlength=geom.n) > 0
+    hist = Counter()
+    for _, _, (count,) in geom.pencil_totals([member]):
+        hist.update(histogram(count))
+    return hist

@@ -71,3 +71,30 @@ def no_subspace_table(monkeypatch):
         raise AssertionError("a program path built a subspace table")
 
     monkeypatch.setattr(Geometry, "subspace_table", build)
+
+
+@pytest.fixture
+def no_plane_pencils(monkeypatch):
+    """Make any build of the (M, q+1) pencil matrix fail the test."""
+
+    def build(self):
+        raise AssertionError("a program path built the pencil matrix")
+
+    monkeypatch.setattr(Geometry, "plane_pencils", build)
+
+
+def corrupt_pencil_rows(geom, monkeypatch, strangers):
+    """Make geom's pencil stream list solid strangers[r] in place of the first solid of row r."""
+    runs = geom.pencil_runs
+
+    def corrupted():
+        start = 0
+        for run in runs():
+            run = run.copy()
+            for r, s in strangers.items():
+                if start <= r < start + len(run):
+                    run[r - start, 0] = s
+            start += len(run)
+            yield run
+
+    monkeypatch.setattr(geom, "pencil_runs", corrupted)

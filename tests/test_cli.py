@@ -120,23 +120,48 @@ def test_verify_lemma1_exit_codes(tmp_path):
     assert data["spectra"]["points"] == {"0": 1, "4": 15, "6": 15}
     assert data["spectra"]["solids"] == {"5": 6, "7": 15, "9": 10}
     assert run(["verify-lemma1", "--q", 4, "--json", str(tmp_path / "r4.json")]) == 0
-    for q in (3, 16):  # q=16 is refused before any table is built
-        with pytest.raises(SystemExit) as exc:
-            run(["verify-lemma1", "--q", q])
-        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-lemma1", "--q", 3])
+    assert exc.value.code == 2
 
 
-def test_characterize_q16_refused(tmp_path, monkeypatch, capsys):
-    fam = tmp_path / "one16.txt"
-    write_family_file(fam, GF.from_order(16), "solids", [(0, 0, 0, 0, 1)])
+@pytest.fixture(scope="module")
+def hyperbolic16(tmp_path_factory):
+    """The exported q=16 hyperbolic family file."""
+    out = tmp_path_factory.mktemp("q16") / "hyperbolic-q16.txt"
+    assert run(["export", "--q", 16, "--what", "hyperbolic", "--out", out]) == 0
+    return out
 
-    def no_geometry(*args):
-        raise AssertionError("the q=16 Geometry must not be built")
 
-    monkeypatch.setattr(cli, "_geometry", no_geometry)
-    assert run(["characterize", "--family", fam]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "q=16" in err
+def _check_spectra_q16(report: dict, family_size: int) -> None:
+    """The q=16 hyperbolic line and plane spectra, and the double counts they must meet."""
+    q = 16
+    lines = {int(k): v for k, v in report["spectra"]["lines"].items()}
+    planes = {int(k): v for k, v in report["spectra"]["planes"].items()}
+    assert lines == {0: 4369, 120: 7895040, 128: 1114095, 136: 8947712, 256: 4369}
+    assert planes == {0: 594441, 8: 16776960, 16: 594184}
+    # each family solid holds q^3+q^2+q+1 planes and (q^2+1)(q^2+q+1) lines
+    assert sum(k * v for k, v in planes.items()) == family_size * (q**3 + q**2 + q + 1)
+    assert sum(k * v for k, v in lines.items()) == family_size * (q * q + 1) * (q * q + q + 1)
+
+
+def test_verify_lemma1_q16(tmp_path, hyperbolic16, no_plane_pencils):
+    rep = tmp_path / "lemma1-q16.json"
+    assert run(["verify-lemma1", "--q", 16, "--json", rep]) == 0
+    data = json.loads(rep.read_text())
+    assert data["family_size"] == len(read_family_file(hyperbolic16).records) == 32896
+    assert data["spectra"]["points"] == {"0": 1, "2048": 65535, "2176": 4369}
+    _check_spectra_q16(data, data["family_size"])
+
+
+def test_characterize_q16_hyperbolic(tmp_path, hyperbolic16, no_plane_pencils):
+    rep = tmp_path / "characterize-q16.json"
+    assert run(["characterize", "--family", hyperbolic16, "--json", rep]) == 0
+    data = json.loads(rep.read_text())
+    assert data["verdict"]["kind"] == "SatisfiesI&II-Quadric"
+    assert data["identities"] and all(i["holds"] for i in data["identities"])
+    assert data["family_size"] == 32896
+    _check_spectra_q16(data, data["family_size"])
 
 
 def test_inconsistency_exit_3(monkeypatch, capsys):

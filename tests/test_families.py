@@ -12,7 +12,7 @@ import pytest
 
 import pg4q.families as families_mod
 import pg4q.quasi as quasi_mod
-from conftest import random_invertible_matrix
+from conftest import corrupt_pencil_rows, random_invertible_matrix
 from pg4q.cli import report_json
 from pg4q.families import (
     INCONSISTENT,
@@ -112,8 +112,9 @@ def test_condition_II(geom2, geom4, hyp2, hyp4):
 
 
 def test_plane_counts_menu(geom2, hyp2):
-    counts = geom2.pencil_members(tuple(hyp2.hyperbolic)).sum(axis=1)
-    assert set(counts.tolist()) <= {0, 1, 2}  # {0, q/2, q} at q=2
+    member = np.bincount(hyp2.hyperbolic, minlength=geom2.n)
+    counts = np.concatenate([c for _, _, (c,) in geom2.pencil_totals([member])])
+    assert len(counts) == 155 and set(counts.tolist()) <= {0, 1, 2}  # {0, q/2, q} at q=2
 
 
 def test_partition(geom2, geom4, hyp2, hyp4):
@@ -279,38 +280,64 @@ def test_verify_hyperbolic_spectra_q4(geom4):
 
 
 def test_characterize_pencil_inconsistency_propagates(hyp2, monkeypatch):
-    # a failed pencil divisibility check is an error (CLI exit 3), not a verdict
+    # a failed pencil divisibility check is an error (CLI exit 3), not a
+    # verdict.  Every black count of a solid is 1 mod q, so row 0 stays
+    # divisible for the black set and fails for the red point.
     geom = Geometry(GF(1))
-
-    def broken(indices):
-        raise InconsistencyError("pencil sum of plane 0 is not divisible by q")
-
-    monkeypatch.setattr(geom, "pencil_sums", broken)
-    with pytest.raises(InconsistencyError, match="pencil sum"):
+    colors = check_condition_I(geom, hyp2.hyperbolic)
+    red = geom.incidence_counts_per_solid(colors.red)
+    first = geom.plane_pencils()[0, 0]
+    stranger = next(s for s in range(geom.n) if red[s] != red[first])
+    corrupt_pencil_rows(geom, monkeypatch, {0: stranger})
+    plane = geom.plane_ranks([0])[0]
+    with pytest.raises(InconsistencyError, match=f"pencil sum of plane {plane} is not"):
         characterize(geom, hyp2.hyperbolic)
 
 
+@pytest.mark.parametrize("odd, named", [
+    # per corrupted row, which of the black, red and family sums turn odd;
+    # the error names the first set in that order with an odd row, and the
+    # least plane-table index among its odd rows
+    ({0: (0, 1, 1), 1: (1, 0, 0)}, (1,)),
+    ({0: (0, 0, 1), 1: (0, 1, 0)}, (1,)),
+    ({0: (1, 0, 1), 1: (1, 1, 0)}, (0, 1)),
+    ({0: (0, 1, 0), 1: (0, 1, 1)}, (0, 1)),
+])
+def test_pencil_divisibility_order(odd, named, monkeypatch):
+    geom = Geometry(GF(1))
+    rng = np.random.default_rng(7)
+    black, red = (tuple(np.flatnonzero(rng.random(geom.n) < p).tolist()) for p in (0.5, 0.3))
+    counts = rng.integers(0, 9, geom.n)
+    colors = replace(check_condition_I(geom, ()), counts=counts, black=black, red=red)
+    tables = [geom.incidence_counts_per_solid(black), geom.incidence_counts_per_solid(red), counts]
+    pencils = geom.plane_pencils()
+    strangers = {}
+    for row, want in odd.items():
+        first = pencils[row, 0]
+        strangers[row] = next(
+            s for s in range(geom.n) if tuple((t[s] - t[first]) % 2 for t in tables) == want
+        )
+    corrupt_pencil_rows(geom, monkeypatch, strangers)
+    plane = geom.plane_ranks(list(named)).min()
+    with pytest.raises(InconsistencyError, match=f"pencil sum of plane {plane} is not"):
+        structure_counts(geom, (0, 1), colors, partition=((), ()))
+
+
 def test_characterize_pencil_gathers(hyp2, monkeypatch):
-    # one pencil sum each for the black set, the red point and the family;
-    # one indicator gather over all rows each for the red point and the
-    # family, and one for the black set over the rows through the red point
+    # characterize makes one pass over the pencil rows and never builds
+    # the (M, q+1) pencil matrix
     geom = Geometry(GF(1))
     calls = Counter()
+    for name in ("pencil_runs", "pencil_totals", "plane_pencils"):
+        method = getattr(geom, name)
 
-    def record(name, method):
-        def call(*args):
-            out = method(*args)
-            calls.update([(name, len(out) == 155)])  # every row of PG(4,2)
-            return out
+        def call(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
 
-        return call
-
-    for name in ("pencil_sums", "pencil_members"):
-        monkeypatch.setattr(geom, name, record(name, getattr(geom, name)))
+        monkeypatch.setattr(geom, name, call)
     assert characterize(geom, hyp2.hyperbolic).verdict.kind == QUADRIC_VERDICT
-    assert calls == Counter(
-        {("pencil_sums", True): 3, ("pencil_members", True): 2, ("pencil_members", False): 1}
-    )
+    assert calls == Counter({"pencil_runs": 1, "pencil_totals": 1})
 
 
 # -- the InternalInconsistency exits of characterize ---------------------------

@@ -10,7 +10,8 @@ on the non-quadric find of the complete q=4 switching census (a QUASI
 verdict with plane witnesses).  The secant family of that find comes from
 ``perfbench/ref.py``, which does not import pg4q.  The test runs every
 case, and a q=16 hyperbolic export, with Geometry's tuple and dict views
-made to fail on read, so no command reaches them.
+made to fail on read and its subspace tables and (M, q+1) pencil matrix
+made to fail on build, so no command reaches them.
 
 ``tests/golden.json`` holds the digests.  Regenerate it only when an
 output change is intended, from the repository root::
@@ -82,7 +83,9 @@ def run_cases(work: Path, space) -> dict:
     return got
 
 
-def test_golden_outputs(tmp_path, reference_space, capsys, no_mirror, no_subspace_table):
+def test_golden_outputs(
+    tmp_path, reference_space, capsys, no_mirror, no_subspace_table, no_plane_pencils
+):
     want = json.loads(GOLDEN.read_text())
     got = run_cases(tmp_path, reference_space)
     assert sorted(got) == sorted(want)
@@ -93,7 +96,7 @@ def test_golden_outputs(tmp_path, reference_space, capsys, no_mirror, no_subspac
     assert report["verdict"]["witnesses"]
 
 
-def test_export_q16_reads_no_mirror(tmp_path, no_mirror, no_subspace_table):
+def test_export_q16_reads_no_mirror(tmp_path, no_mirror, no_subspace_table, no_plane_pencils):
     # q=16 is outside golden.json; the digest was recorded when the export
     # still looked its records up through Geometry.solids
     out = tmp_path / "hyperbolic-q16.txt"

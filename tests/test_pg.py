@@ -6,6 +6,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+import pg4q.pg as pg
+from conftest import corrupt_pencil_rows
+from pg4q.cli import report_json
+from pg4q.families import characterize, check_condition_II, verify_hyperbolic_spectra
 from pg4q.gf import GF
 from pg4q.pg import (
     Geometry,
@@ -17,9 +21,8 @@ from pg4q.pg import (
     null_space,
     rref,
 )
-from pg4q.families import characterize
 from pg4q.quadric import canonical_q4, classify_all_solids, line_profile, nucleus, zero_set
-from pg4q.quasi import QuasiCandidate, is_quasi_quadric
+from pg4q.quasi import QuasiCandidate, is_quasi_quadric, search_quasi, solids_meeting_in
 
 
 def test_point_counts():
@@ -299,6 +302,12 @@ def _oracle_black(geom, black, red, k):
     return np.array(blacks), np.array(hasred)
 
 
+def _row_members(geom, indices):
+    """Per pencil row, how many of its entries are in the given index set."""
+    member = np.bincount(list(indices), minlength=geom.n) > 0
+    return np.concatenate([c for _, _, (c,) in geom.pencil_totals([member])])
+
+
 def _line_of_pencil_row(geom):
     """Line-table index of each pencil row read as a point set; a bijection."""
     sm = geom.solid_masks
@@ -338,7 +347,7 @@ def test_family_point_masks(geom2, geom4):
             black, red = (np.flatnonzero(rng.random(geom.n) < p).tolist() for p in (0.4, 0.05))
             point_sets = [(colors.black, colors.red), (black, red)]
             assert np.array_equal(
-                geom.pencil_members(fam).sum(axis=1), _oracle_family_counts(geom, fam, 2)[plane]
+                _row_members(geom, fam), _oracle_family_counts(geom, fam, 2)[plane]
             )
             assert np.array_equal(geom.pencil_sums(fam), _oracle_family_counts(geom, fam, 1)[line])
             for black, red in point_sets:
@@ -346,8 +355,8 @@ def test_family_point_masks(geom2, geom4):
                 want_black, want_red = _oracle_black(geom, black, red, 2)
                 assert np.array_equal(got_black, want_black[plane])
                 assert np.array_equal(got_red, want_red[plane])
-                got_black = geom.pencil_members(black).sum(axis=1)
-                got_red = geom.pencil_members(red).any(axis=1)
+                got_black = _row_members(geom, black)
+                got_red = _row_members(geom, red) > 0
                 want_black, want_red = _oracle_black(geom, black, red, 1)
                 assert np.array_equal(got_black, want_black[line])
                 assert np.array_equal(got_red, want_red[line])
@@ -357,23 +366,95 @@ def test_family_point_masks(geom2, geom4):
                     assert spectrum == Counter(_oracle_black(geom, black, (), k)[0].tolist())
 
 
-def test_pencil_sums_divisibility_check():
-    geom = Geometry(GF(2))
-    pencils = geom.plane_pencils().copy()
-    stranger = next(s for s in range(geom.n) if s not in pencils[0])
+def _break_row(geom, monkeypatch, row):
+    """
+    Corrupt pencil row `row` of geom's stream, and return a point p whose
+    pencil sum it makes indivisible and the plane-table index of its plane.
+    """
+    pencils = geom.plane_pencils()
+    stranger = next(s for s in range(geom.n) if s not in pencils[row])
     p = next(
         p for p in geom.solids_through_point(stranger)  # points of a solid, by duality
-        if p not in geom.solids_through_point(pencils[0][0])
+        if p not in geom.solids_through_point(pencils[row][0])
     )
     geom.pencil_sums([p])  # consistent before the corruption
-    # the plane of row 0 in the plane table: the row its pencil annihilates
+    # the plane of the row in the plane table: the row its pencil annihilates
     rref_rows = geom.subspace_table(2).rref
-    on = dots(geom.field, geom.point_array[pencils[0]], rref_rows.reshape(-1, 5)) == 0
-    (plane,) = np.flatnonzero(on.reshape(len(pencils[0]), -1, 3).all(axis=(0, 2)))
-    pencils[0][0] = stranger  # row 0 is no longer the pencil of a plane
-    geom._pencils = pencils
+    on = dots(geom.field, geom.point_array[pencils[row]], rref_rows.reshape(-1, 5)) == 0
+    (plane,) = np.flatnonzero(on.reshape(len(pencils[row]), -1, 3).all(axis=(0, 2)))
+    corrupt_pencil_rows(geom, monkeypatch, {row: stranger})  # no longer the pencil of a plane
+    return p, plane
+
+
+def test_pencil_sums_divisibility_check(monkeypatch):
+    geom = Geometry(GF(2))
+    p, plane = _break_row(geom, monkeypatch, 0)
     with pytest.raises(InconsistencyError, match=f"pencil sum of plane {plane} is not"):
         geom.pencil_sums([p])
+
+
+def test_pencil_runs_split_and_merge(monkeypatch):
+    # q <= 4 is one run by default.  A lowered row budget splits the blocks
+    # into many runs, and every row, per-row total and witness stays.
+    for e, budgets in ((1, (1, 7, 64)), (2, (7, 64, 1000))):
+        geom = Geometry(GF(e))
+        q = geom.field.q
+        (pencils,) = geom.pencil_runs()
+        assert len(pencils) == gaussian_binomial(5, 3, q)
+        assert np.array_equal(pencils, geom.plane_pencils())
+        classes = classify_all_solids(geom, canonical_q4(geom.field))
+        hyp, zeros = classes.hyperbolic, zero_set(geom, canonical_q4(geom.field))
+        random_set = np.flatnonzero(np.random.default_rng(q).random(geom.n) < 0.3).tolist()
+        families = [hyp, hyp[1:], hyp[:1], random_set]
+        if q == 4:  # a quasi-quadric's secant family: a QUASI verdict with plane witnesses
+            hit = next(h for h in search_quasi(geom, "switching", budget=4**9 + 1)
+                       if h.form is None)
+            families.append(solids_meeting_in(geom, hit.candidate.points, 25))
+
+        def outputs():
+            return (
+                [geom.pencil_sums(s).tolist() for s in (zeros, random_set)],
+                [check_condition_II(geom, f) for f in families],
+                [line_profile(geom, s) for s in (zeros, random_set)],
+                verify_hyperbolic_spectra(geom, canonical_q4(geom.field)),
+                [report_json(characterize(geom, f)) for f in families],
+            )
+
+        want = outputs()
+        assert any(r["verdict"]["witnesses"] for r in want[-1])
+        for budget in budgets:
+            with monkeypatch.context() as mp:
+                mp.setattr(pg, "_RUN_ROWS", budget)
+                runs = list(geom.pencil_runs())
+                assert len(runs) > 1 and max(map(len, runs)) <= budget
+                assert np.array_equal(np.concatenate(runs), pencils)
+                assert outputs() == want
+                # a divisibility error names the plane of a row in the last run
+                p, plane = _break_row(geom, mp, len(pencils) - 1)
+                with pytest.raises(InconsistencyError, match=f"sum of plane {plane} is not"):
+                    geom.pencil_sums([p])
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_pencil_totals_match_table_sums(q, geoms):
+    geom = geoms[q]
+    pencils = geom.plane_pencils()
+    rng = np.random.default_rng(q)
+    tables = [rng.integers(0, top + 1, geom.n) for top in (0, 1, 7, 300, 2**20, 2**40, 5)]
+    tables.append(rng.random(geom.n) < 0.5)
+    # the fields (bit length of (q+1) * max) need more than one 63-bit word
+    assert sum(((q + 1) * int(t.max())).bit_length() for t in tables) > 63
+    starts, got = [], []
+    for start, run, sums in geom.pencil_totals(tables):
+        assert np.array_equal(run, pencils[start : start + len(run)])
+        starts.append(start)
+        got.append(np.array(sums))
+    assert starts == sorted(set(starts)) and starts[0] == 0
+    want = np.array([t.astype(np.int64)[pencils].sum(axis=1) for t in tables])
+    assert np.array_equal(np.concatenate(got, axis=1), want)
+    for bad in (-tables[2], np.full(geom.n, 2**62)):  # negative, or wider than a word
+        with pytest.raises(ValueError):
+            next(geom.pencil_totals([bad]))
 
 
 def test_annihilator_table(geom2, reference_space):
