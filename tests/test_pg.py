@@ -400,7 +400,7 @@ def test_pencil_runs_split_and_merge(monkeypatch):
         geom = Geometry(GF(e))
         q = geom.field.q
         (pencils,) = geom.pencil_runs()
-        assert len(pencils) == gaussian_binomial(5, 3, q)
+        assert len(pencils) == {2: 155, 4: 5797}[q]  # the planes of PG(4,q)
         assert np.array_equal(pencils, geom.plane_pencils())
         classes = classify_all_solids(geom, canonical_q4(geom.field))
         hyp, zeros = classes.hyperbolic, zero_set(geom, canonical_q4(geom.field))
@@ -421,7 +421,8 @@ def test_pencil_runs_split_and_merge(monkeypatch):
             )
 
         want = outputs()
-        assert any(r["verdict"]["witnesses"] for r in want[-1])
+        if q == 4:
+            assert want[-1][-1]["verdict"]["kind"] == "SatisfiesI-QuasiQuadric"
         for budget in budgets:
             with monkeypatch.context() as mp:
                 mp.setattr(pg, "_RUN_ROWS", budget)
