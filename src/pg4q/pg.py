@@ -235,7 +235,10 @@ def _block_xor(const: np.ndarray, tables) -> np.ndarray:
 
 
 def histogram(values) -> Counter:
-    """Multiset of an integer array as a Counter {value: multiplicity}."""
+    """
+    Multiset of an integer array as a Counter {value: multiplicity}.  Meant
+    for counts: it takes max - min + 1 bins.
+    """
     v = np.asarray(values, dtype=np.int64).ravel()
     if not len(v):
         return Counter()
