@@ -556,20 +556,6 @@ class Geometry:
             self._plane_ranks[np.argsort(keys)] = np.arange(len(keys))
         return self._plane_ranks[np.asarray(rows, dtype=np.int64)]
 
-    def pencil_sums(self, indices) -> np.ndarray:
-        """
-        Per pencil row, in pivot-block order, |X ∩ P| for a point set X and
-        the row's plane P; by duality, for a solid set X, how many of its
-        solids contain the row's line.  Duplicate indices count once.
-        """
-        idx = np.flatnonzero(np.bincount(list(indices), minlength=self.n))  # unique, no np.ma
-        counts = self.incidence_counts_per_solid(idx)
-        bad: list = []
-        out = np.concatenate([self.pencil_quotients(totals, len(idx), start, bad)
-                              for start, _, (totals,) in self.pencil_totals([counts])])
-        self.check_divisible(bad)
-        return out
-
     def nline_partition(self, point_idx: int):
         """
         The lines through the given point, each as the sorted tuple of

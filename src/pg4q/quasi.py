@@ -26,12 +26,22 @@ Switching filter
 Candidate values on W are sqrt(g) + l_s for a ternary quadratic form g
 and a linear form l_s.  Such a candidate agrees with l_r exactly where
 sqrt(g) agrees with l_r + l_s = l_(r+s), so its agreement vector over
-the q^3 linear forms is the form's own vector A_g translated:
-A_(g,s)(r) = A_g(r + s).  Indices concatenate the e-bit base-q digits,
-so the index of r + s is the XOR of the two indices.  A_g costs
-q^3 * |W| compares once per form; every shift s then passes iff
-allowed[A_g(r ^ s), r] holds for all r, a q^3 gather per candidate
-instead of q^3 * |W| compares.
+the q^3 linear forms is the form's own vector A_g translated.  Indices
+concatenate e-bit base-q digits, so A_(g,s)(r) = A_g(r ^ s), and r % q
+is the w2 coefficient of l_r.  The solids (1, a), r = a // q, allow
+agreement 1 or 2q+1 with l_r when r is in R0, the q^2 forms with no w2
+term, and q+1 otherwise: _Quotient checks this two-column law against
+the quadric's solid counts on every build (InconsistencyError if not).
+As r ^ s is in R0 iff r % q == s % q, a form passes on one class s % q
+of q^2 shifts or on none, and A_g, q^3 * |W| compares, decides which.
+
+Why: A(r) = q+1 + Phi(r)/q, Phi the Walsh spectrum of Tr(h) on
+GF(q)^3, so a passing h has Phi = 0 off R0 and +-q^2 on R0: Tr(h) is
+constant on the cosets of <(0,0,1)> and bent on GF(q)^2.  With
+h(s*w) = s*h(w) this gives h(w) = hbar(w0, w1), and the points
+(hbar(p) : p), p in PG(1,q), form an oval of PG(2,q) with nucleus
+(1:0:0).  The stream's distinct passes are the conics among them,
+sqrt(c*w0*w1) + l_r with c != 0 and r in R0: (q-1)q^2 finds.
 """
 
 from __future__ import annotations
@@ -203,30 +213,31 @@ class _Quotient:
         sizes = geom.incidence_counts_per_solid(self.candidate_points(self.base))
         on_w = (self.w_linear_values == self.base_w).sum(axis=1)
         outside = sizes[-(q**4) :] - np.repeat(on_w, q)
-        # allowed[i, r]: agreement i with l_r on W is compatible with
-        # every solid (1, a) restricting to l_r; r = a // q in product order
-        total = outside[:, None] + np.arange(self.w_pts.shape[0] + 1)[None, :]
-        good = (total == q * q + 1) | (total == (q + 1) ** 2)
-        self.allowed = np.ascontiguousarray(good.reshape(q**3, q, -1).all(axis=1).T)
-        t = np.arange(q**3)
-        # pairs[s, t]: flat index of (t, t ^ s) in a (q^3, q^3) table
-        self.pairs = t[None, :] * q**3 + (t[None, :] ^ t[:, None])
+        # good[a, i]: with agreement i on W, the solid (1, a) meets the candidate
+        # in q^2+1 or (q+1)^2 points; l_r allows i iff every a with a // q = r does
+        i = np.arange(self.w_pts.shape[0] + 1)
+        good = np.abs(outside[:, None] + i - (q * q + q + 1)) == q
+        law = np.where(np.arange(q**3)[:, None] % q, i == q + 1, (i == 1) | (i == 2 * q + 1))
+        bad = np.flatnonzero((good.reshape(q**3, q, -1).all(axis=1) != law).any(axis=1))
+        if len(bad):
+            raise InconsistencyError(f"quadric solid counts break the two-column law at l_{bad[0]}")
 
     def passing_shifts(self, bases: np.ndarray, shifts: int) -> np.ndarray:
         """
         (B, shifts) mask: entry (b, s) says whether the value vector
         bases[b] + l_s on W passes the count filter; see "Switching filter".
         """
-        q3 = len(self.pairs)
-        chunk = max(1, (1 << 20) // q3**2)
+        q, lin = self.field.q, self.w_linear_values
+        chunk = max(1, (1 << 20) // lin.size)
         out = []
         for lo in range(0, len(bases), chunk):
             block = bases[lo : lo + chunk]
-            agree = (block[:, None, :] == self.w_linear_values[None, :, :]).sum(axis=2)
-            # table[b, t, r] = allowed[agree[b, t], r]; shift s passes
-            # iff table[b, t, t ^ s] holds for every t
-            table = self.allowed[agree].reshape(len(block), -1)
-            out.append(np.take(table, self.pairs[:shifts], axis=1).all(axis=2))
+            # agree[b, t // q, t % q]: agreement of bases[b] with l_t.  Class
+            # c passes iff it is all 1 or 2q+1 and every other is all q+1.
+            agree = (block[:, None, :] == lin[None, :, :]).sum(axis=2).reshape(len(block), -1, q)
+            on_r0 = ((agree == 1) | (agree == 2 * q + 1)).all(axis=1)
+            ok = on_r0 & ((agree == q + 1).all(axis=1).sum(axis=1, keepdims=True) == q - 1)
+            out.append(ok[:, np.arange(shifts) % q])
         return np.concatenate(out)
 
     def candidate_points(self, values: np.ndarray) -> frozenset:
@@ -277,13 +288,15 @@ def search_quasi(geom: Geometry, strategy: str, seed: int = 0, budget: int = 200
     The only strategy is "switching"; any other raises ValueError.  The
     result is a function of the budget alone: ``seed`` has no effect and
     is kept so callers can pass it through.  An empty result just means
-    the budget ran out.
+    the budget ran out; a negative budget raises ValueError.
     """
     q = geom.field.q
     if q not in (4, 8):
         raise ValueError("search supports q = 4 and q = 8")
     if strategy != "switching":
         raise ValueError(f"unknown strategy {strategy!r}")
+    if budget < 0:
+        raise ValueError(f"the budget must be non-negative, not {budget}")
     quot = _Quotient(geom)
     hits = []
     seen_rows = set()

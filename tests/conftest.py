@@ -1,6 +1,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pg4q.gf import GF
@@ -98,3 +99,18 @@ def corrupt_pencil_rows(geom, monkeypatch, strangers):
             yield run
 
     monkeypatch.setattr(geom, "pencil_runs", corrupted)
+
+
+def pencil_sums(geom, indices):
+    """
+    Per pencil row, in pivot-block order, |X ∩ P| for a point set X and
+    the row's plane P; by duality, for a solid set X, how many of its
+    solids contain the row's line.  Duplicate indices count once.
+    """
+    idx = np.unique(np.asarray(list(indices), dtype=np.int64))
+    counts = geom.incidence_counts_per_solid(idx)
+    bad: list = []
+    out = np.concatenate([geom.pencil_quotients(totals, len(idx), start, bad)
+                          for start, _, (totals,) in geom.pencil_totals([counts])])
+    geom.check_divisible(bad)
+    return out

@@ -300,6 +300,12 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv):
     assert out == ""  # nothing is reported before the failed write
 
 
+def test_quasi_search_negative_budget_exit_2(capsys):
+    assert run(["quasi", "search", "--q", 4, "--budget", -5]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "budget must be non-negative" in err
+
+
 def test_quasi_search_unknown_strategy_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["quasi", "search", "--q", 4, "--strategy", "random-restart"])

@@ -9,7 +9,8 @@ import pytest
 
 import pg4q.quasi as quasi_mod
 from pg4q.cli import main
-from pg4q.pg import InconsistencyError, dots
+from pg4q.gf import GF
+from pg4q.pg import Geometry, InconsistencyError, dots
 from pg4q.quadric import canonical_q4, nucleus, zero_set
 from pg4q.quasi import (
     SEARCH_NUCLEUS,
@@ -253,6 +254,11 @@ def test_search_budget_truncates_stream(geom4, budget, expected):
     assert len(search_quasi(geom4, "switching", budget=budget)) == expected
 
 
+def test_search_rejects_negative_budget(geom4):
+    with pytest.raises(ValueError, match="non-negative"):
+        search_quasi(geom4, "switching", budget=-5)
+
+
 @pytest.mark.parametrize(
     "q, budget, verified, non_quadric, find_sha256",
     [
@@ -352,3 +358,50 @@ def test_passing_shifts_matches_definition_q8(geom8, reference_space):
     rows, mask = _stream_rows(quot, 513)
     holds = _quasi_definition(reference_space(8), SEARCH_NUCLEUS)
     _assert_filter_is_definition(holds, quot, rows, mask)
+
+
+def _irreducible_fields(e):
+    """GF(2^e) under each irreducible modulus of degree e."""
+    fields = []
+    for modulus in range(1 << e, 2 << e):
+        try:
+            fields.append(GF(e, modulus))
+        except ValueError:  # reducible
+            pass
+    return fields
+
+
+@pytest.mark.parametrize("e, count", [(1, 2), (2, 1), (3, 2)])
+def test_quotient_two_column_law_every_modulus(e, count):
+    # each build checks the law against the quadric's solid counts
+    fields = _irreducible_fields(e)
+    assert len(fields) == count
+    for field in fields:
+        _Quotient(Geometry(field))
+
+
+def test_quotient_two_column_law_q16(geom16):
+    _Quotient(geom16)
+
+
+@pytest.fixture
+def shifted_r0_column(monkeypatch):
+    """Add 1 to every solid count on the solids (1, a) with a // q == 0: the R0 form l_0."""
+    counts = Geometry.incidence_counts_per_solid
+
+    def shifted(self, point_indices):
+        out = counts(self, point_indices).copy()
+        first = self.n - self.field.q**4
+        out[first : first + self.field.q] += 1
+        return out
+
+    monkeypatch.setattr(Geometry, "incidence_counts_per_solid", shifted)
+
+
+def test_quotient_rejects_broken_law(shifted_r0_column, capsys):
+    with pytest.raises(InconsistencyError, match="two-column law at l_0$"):
+        _Quotient(Geometry(GF(2)))
+    for argv in (["--q", "4"], ["--q", "2", "--exhaustive"]):
+        assert main(["quasi", "search", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "two-column law at l_0" in err
