@@ -150,8 +150,7 @@ def report_json(report: Report) -> dict:
     """ReportJson with a stable key order and sorted arrays."""
     verdict = {
         "kind": report.verdict.kind,
-        "witnesses": [list(w) if isinstance(w, (tuple, list)) else w
-                      for w in report.verdict.witnesses],
+        "witnesses": _witness_json(report.verdict.witnesses),
     }
     if report.verdict.form is not None:
         verdict["form"] = list(report.verdict.form)
@@ -288,6 +287,8 @@ def cmd_quasi(args) -> int:
         return 0 if ok else 1
 
     # search
+    if args.budget < 0:
+        raise ValueError(f"the budget must be non-negative, not {args.budget}")
     if args.q == 2:
         if not args.exhaustive:
             print("q=2 search requires --exhaustive", file=sys.stderr)

@@ -19,6 +19,9 @@ Representations
   subspace table: it reaches every plane as a pencil row, streamed in
   runs by ``pencil_runs`` and kept by nobody, and ``plane_ranks`` names
   a reported plane by its plane-table row.
+* Lines through a point N: ``nline_partition(N)``, whose row i is the
+  line through N and the i-th point m with m_j = 0 (j the pivot of N)
+  and whose column t is the point m + t*N.
 * The tuple list ``points`` with its dict ``point_index`` (and their
   aliases ``solids``, ``solid_index``) are views built on first read;
   no program path reads them.
@@ -111,8 +114,8 @@ word sums every field at once.  Callers reduce each run as it comes
 All Geometry state is immutable once built; derived tables (subspace
 tables, incidence masks, the character and point-code tables, the plane
 ranks) are computed lazily but are pure functions of the field, so
-repeated or concurrent builds are harmless.  The pencil rows are not a
-table: each pass rebuilds its runs from the codes.
+repeated or concurrent builds are harmless.  The pencil rows and the
+lines through a point are not tables: each call rebuilds them by codes.
 """
 
 from __future__ import annotations
@@ -290,7 +293,6 @@ class Geometry:
         self._point_of_code: np.ndarray | None = None
         self._tables: dict[int, SubspaceTable] = {}
         self._plane_ranks: np.ndarray | None = None
-        self._nline_partitions: dict[int, tuple] = {}
 
     # -- tuple views ----------------------------------------------------
     # built on first read; only perfbench's traced replays and the tests
@@ -556,25 +558,15 @@ class Geometry:
             self._plane_ranks[np.argsort(keys)] = np.arange(len(keys))
         return self._plane_ranks[np.asarray(rows, dtype=np.int64)]
 
-    def nline_partition(self, point_idx: int):
+    def nline_partition(self, point_idx: int) -> np.ndarray:
         """
-        The lines through the given point, each as the sorted tuple of
-        its other point indices; lines ordered by smallest member.  They
-        partition the remaining points into q^3+q^2+q+1 classes of size q.
+        (q^3+q^2+q+1, q) intp: the lines through point N, which partition the
+        other points, laid out as in "Representations".  Column 0 holds the
+        least index of each row, ascending, so rows are in canonical order.
         """
-        if point_idx not in self._nline_partitions:
-            # key each other point p by where its line meets x_j = 0:
-            # p + p_j N, with j the pivot of N (so N_j = 1)
-            npt = self.point_array[point_idx]
-            j = int(np.argmax(npt != 0))
-            others = np.delete(np.arange(self.n), point_idx)
-            pts = self.point_array[others]
-            meet = pts ^ self.field.mul_table[pts[:, j, None], npt[None, :]]
-            keys = self.point_indices(meet)
-            lines = others[np.lexsort((others, keys))].reshape(-1, self.field.q)
-            lines = lines[np.argsort(lines[:, 0])]
-            self._nline_partitions[point_idx] = tuple(map(tuple, lines.tolist()))
-        return self._nline_partitions[point_idx]
+        npt = self.point_array[point_idx]
+        meet = self.point_array[self.point_array[:, np.argmax(npt != 0)] == 0]
+        return self.point_indices(meet[:, None, :] ^ self.field.mul_table[:, npt]).astype(np.intp)
 
     def __repr__(self) -> str:
         return f"Geometry(q={self.field.q}, points={self.n})"

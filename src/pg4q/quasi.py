@@ -11,8 +11,9 @@ exhaustive search below reproduces.
 Searches fix the nucleus at (1,0,0,0,0): any candidate nucleus can be
 moved there by a collineation, so nothing is lost and the space shrinks.
 Lines through N are then in bijection with the points u of a quotient
-PG(3,q), the line over u carrying the points (t, u) for t in GF(q); a
-transversal is a choice function t = h(u) with h(s*u) = s*h(u).  Solids
+PG(3,q): quotient point u_i is row i of nline_partition(N), with the
+point (t, u_i) in column t.  A transversal is a choice function t = h(u)
+with h(s*u) = s*h(u), its point set one gather from that array.  Solids
 off N are exactly the covectors (1, a), and such a solid meets a
 transversal K_h in #{u : h(u) = a.u} points.  The canonical quadric is
 h(u) = sqrt(u1*u2 + u3*u4).  Switching keeps h at the quadric values
@@ -96,17 +97,22 @@ def is_quasi_quadric(geom: Geometry, cand: QuasiCandidate):
     """
     Test the definition directly.  Returns (True, None) or (False,
     witness) where the witness names the first failing line or solid in
-    canonical order.  A zero or out-of-range nucleus raises ValueError.
+    canonical order: ("line", its q points off N sorted, hits) or
+    ("solid", index, size).  A zero or out-of-range nucleus raises
+    ValueError.
     """
     q = geom.field.q
     n_idx = geom.index_of(cand.nucleus)
     pts = frozenset(int(i) for i in cand.points)
     if n_idx in pts:
         return False, ("nucleus-in-set", n_idx)
-    for line in geom.nline_partition(n_idx):
-        hits = sum(1 for p in line if p in pts)
-        if hits != 1:
-            return False, ("line", line, hits)
+    lines = geom.nline_partition(n_idx)
+    member = np.zeros(geom.n, dtype=bool)
+    member[list(pts)] = True
+    hits = member[lines].sum(axis=1)
+    if (hits != 1).any():
+        i = int(np.argmax(hits != 1))
+        return False, ("line", tuple(sorted(lines[i].tolist())), int(hits[i]))
     sizes = geom.incidence_counts_per_solid(pts)
     bad = (sizes != q * q + 1) & (sizes != (q + 1) ** 2)
     bad[geom.solids_through_point(n_idx)] = False
@@ -193,12 +199,10 @@ class _Quotient:
     def __init__(self, geom: Geometry):
         field = geom.field
         q = field.q
-        self.geom = geom
         self.field = field
         mt = field.mul_table
-        # canonical quotient points in lex order: the points (0, u) lead
-        # the lex order of PG(4,q)
-        us = self.us = geom.point_array[: (q**4 - 1) // (q - 1), 1:]
+        self.lines = geom.nline_partition(geom.index_of(SEARCH_NUCLEUS))
+        us = self.us = geom.point_array[self.lines[:, 0], 1:]
         # canonical quadric transversal: t(u) = sqrt(u1 u2 + u3 u4)
         self.base = field.sqrt_table[mt[us[:, 0], us[:, 1]] ^ mt[us[:, 2], us[:, 3]]]
         # the first solid through the nucleus is (0,0,0,0,1): u4 = 0
@@ -242,8 +246,7 @@ class _Quotient:
 
     def candidate_points(self, values: np.ndarray) -> frozenset:
         """Point indices of the transversal with value values[i] at quotient point i."""
-        vecs = np.concatenate([values[:, None], self.us], axis=1)
-        return frozenset(self.geom.point_indices(vecs).tolist())
+        return frozenset(self.lines[np.arange(len(self.lines)), values].tolist())
 
 
 def _digits(codes: np.ndarray, q: int, width: int) -> np.ndarray:

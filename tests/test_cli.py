@@ -205,7 +205,8 @@ def test_quasi_check_perturbed_exit_1(tmp_path, capsys):
     write_family_file(bad, field, "points", sorted(recs), nucleus=ff.nucleus)
     assert run(["quasi", "check", "--points", bad]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert out["quasi_quadric"] is False and out["witness"] is not None
+    # the line condition still holds, so the first bad solid off the nucleus is named
+    assert out == {"quasi_quadric": False, "witness": ["solid", 15, 8]}
 
 
 def test_quasi_check_requires_nucleus(tmp_path):
@@ -300,8 +301,9 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv):
     assert out == ""  # nothing is reported before the failed write
 
 
-def test_quasi_search_negative_budget_exit_2(capsys):
-    assert run(["quasi", "search", "--q", 4, "--budget", -5]) == 2
+@pytest.mark.parametrize("argv", [["--q", 4], ["--q", 2, "--exhaustive"]], ids=["q4", "q2"])
+def test_quasi_search_negative_budget_exit_2(capsys, argv):
+    assert run(["quasi", "search", *argv, "--budget", -5]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "budget must be non-negative" in err
 

@@ -501,16 +501,26 @@ def test_plane_pencils(geom2, geom4, geom8, reference_space):
     assert len(np.unique(pencils, axis=0)) == len(pencils)
 
 
-def test_nline_partition(geom2, geom4):
-    for geom in (geom2, geom4):
+def test_nline_partition(geom2, geom4, reference_space):
+    for geom, nuc in product((geom2, geom4), ((1, 0, 0, 0, 0), (0, 0, 1, 1, 0))):
         q = geom.field.q
-        n_idx = geom.point_index[(1, 0, 0, 0, 0)]
+        ref = reference_space(q)
+        n_idx = geom.index_of(nuc)
         part = geom.nline_partition(n_idx)
-        assert len(part) == q**3 + q**2 + q + 1
+        assert part.shape == (q**3 + q**2 + q + 1, q) and part.dtype == np.intp
         members = [p for line in part for p in line]
         assert len(members) == geom.n - 1
         assert len(set(members)) == geom.n - 1
+        assert n_idx not in members
         assert all(len(line) == q for line in part)
+        # column 0: the points m with m_j = 0, j the pivot of N, ascending
+        meet = part[:, 0]
+        assert not geom.point_array[meet, nuc.index(1)].any()
+        assert (np.diff(meet) > 0).all()
+        # column t: the point m + t*N
+        for t in range(q):
+            shifted = ref.points[meet] ^ ref.mul[t, np.array(nuc)]
+            assert (part[:, t] == ref.index(ref.normalize(shifted))).all()
 
 
 def _nline_partition_by_span(geom, point_idx):
@@ -526,7 +536,8 @@ def _nline_partition_by_span(geom, point_idx):
 def test_nline_partition_matches_span_oracle(geom2, geom4):
     for geom in (geom2, geom4):
         for n_idx in range(geom.n):
-            assert geom.nline_partition(n_idx) == _nline_partition_by_span(geom, n_idx)
+            rows = np.sort(geom.nline_partition(n_idx), axis=1)
+            assert tuple(map(tuple, rows.tolist())) == _nline_partition_by_span(geom, n_idx)
 
 
 def test_intersection_profile_solid_pointset(geom2):

@@ -42,6 +42,17 @@ def test_quadric_is_quasi_quadric(geom2, geom4, quad2, quad4):
     assert is_quasi_quadric(geom4, quad4) == (True, None)
 
 
+def test_quadric_is_quasi_quadric_q16(geom16):
+    form = canonical_q4(geom16.field)
+    quad = QuasiCandidate(points=frozenset(zero_set(geom16, form)), nucleus=nucleus(form))
+    assert is_quasi_quadric(geom16, quad) == (True, None)
+    # drop the quadric's point on one line through N: that line alone fails
+    line = geom16.nline_partition(geom16.index_of(quad.nucleus))[1000]
+    (p,) = quad.points.intersection(line.tolist())
+    ok, witness = is_quasi_quadric(geom16, QuasiCandidate(quad.points - {p}, quad.nucleus))
+    assert not ok and witness == ("line", tuple(sorted(line.tolist())), 0)
+
+
 def test_wrong_nucleus_fails_with_line_witness(geom2, quad2):
     wrong = QuasiCandidate(points=quad2.points, nucleus=(0, 0, 0, 0, 1))
     ok, witness = is_quasi_quadric(geom2, wrong)
@@ -97,6 +108,62 @@ def test_perturbed_transversal_fails_solid_condition(geom2, quad2):
         if size not in (5, 9)
     )
     assert not ok and witness == expected
+
+
+def _first_bad_line(ref, points, nucleus):
+    """
+    The line witness of the quasi-quadric definition, from the reference
+    space alone.  The lines through N are the sets normalize(P + tN); the
+    first by least point index that does not meet K once is named by its
+    q points other than N, sorted, with its number of points of K.  None
+    when every line through N meets K once.
+    """
+    q = ref.q
+    nuc = np.array(nucleus, dtype=np.uint8)
+    others = np.delete(np.arange(ref.n), int(ref.index(nuc)))
+    shifted = ref.points[others, None, :] ^ ref.mul[np.arange(q)[:, None], nuc][None]
+    lines = {tuple(sorted(row)) for row in ref.index(ref.normalize(shifted)).tolist()}
+    for line in sorted(lines):
+        hits = len(points.intersection(line))
+        if hits != 1:
+            return ("line", line, hits)
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_line_witness_matches_oracle(geoms, reference_space, q):
+    geom, ref = geoms[q], reference_space(q)
+    form = canonical_q4(geom.field)
+    quad = frozenset(zero_set(geom, form))
+    true_nuc = np.array(nucleus(form), dtype=np.uint8)
+    rng = Random(q)
+    nuclei = [nucleus(form)] + [tuple(ref.points[rng.randrange(ref.n)].tolist()) for _ in range(3)]
+    line_witnesses = 0
+    for nuc in nuclei:
+        n_idx = geom.index_of(nuc)
+        for kind in ("drop", "add", "flip") * 3:
+            pts = set(quad)
+            if kind == "drop":
+                pts -= set(rng.sample(sorted(pts), rng.randint(1, 3)))
+            elif kind == "add":
+                pts |= set(rng.sample(range(ref.n), rng.randint(1, 3)))
+            else:
+                # move a point along its line through the quadric's nucleus
+                p = rng.choice(sorted(pts))
+                moved = ref.points[p] ^ ref.mul[rng.randrange(1, q), true_nuc]
+                pts = (pts - {p}) | {int(ref.index(ref.normalize(moved)))}
+            ok, witness = is_quasi_quadric(geom, QuasiCandidate(frozenset(pts), nuc))
+            if n_idx in pts:
+                assert witness == ("nucleus-in-set", n_idx)
+                continue
+            expected = _first_bad_line(ref, pts, nuc)
+            if expected is None:
+                assert witness is None or witness[0] == "solid"
+                continue
+            assert not ok and witness == expected
+            assert all(type(p) is int for p in witness[1]) and type(witness[2]) is int
+            line_witnesses += 1
+    assert line_witnesses >= 20
 
 
 def test_solids_meeting_in(geom2, quad2):
