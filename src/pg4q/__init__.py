@@ -13,6 +13,7 @@ from .quadric import (
     apply_collineation,
     canonical_q4,
     classify_all_solids,
+    fit_quadratic_form,
     line_profile,
     nucleus,
     zero_set,
@@ -24,7 +25,6 @@ from .families import (
     characterize,
     check_condition_I,
     check_condition_II,
-    fit_quadratic_form,
     partition_solids,
     point_incidence_counts,
     solid_spectrum,

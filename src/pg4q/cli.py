@@ -46,6 +46,7 @@ from .quadric import canonical_q4, classify_all_solids, nucleus, zero_set
 from .quasi import QuasiCandidate, exhaustive_search_q2, is_quasi_quadric, search_quasi
 
 HEADER_TAG = "PG4Q v1"
+HEADER_KEYS = ("q", "mod", "kind", "nucleus")
 SUPPORTED_Q = (2, 4, 8, 16)
 
 
@@ -77,13 +78,16 @@ def read_family_file(path) -> FamilyFile:
     with open(path) as fh:
         raw = [line.strip() for line in fh]
     lines = [line for line in raw if line]
-    if not lines or not lines[0].startswith(HEADER_TAG):
+    header = lines[0].split() if lines else []
+    if header[:2] != HEADER_TAG.split():
         raise FormatError("missing PG4Q v1 header")
     fields = {}
-    for token in lines[0][len(HEADER_TAG) :].split():
-        if "=" not in token:
+    for token in header[2:]:
+        key, sep, value = token.partition("=")
+        if not sep:
             raise FormatError(f"bad header token {token!r}")
-        key, value = token.split("=", 1)
+        if key not in HEADER_KEYS or key in fields:
+            raise FormatError(f"unknown or repeated header key {key!r}")
         fields[key] = value
     try:
         q = int(fields["q"])
@@ -231,8 +235,10 @@ def cmd_characterize(args) -> int:
     """
     Run ``characterize`` on a solid family file.  Its memory budget is 2 GB at
     every supported q.  The pencil rows are streamed, so the q=16 hyperbolic
-    family took 6.5 s with a 63 MB peak RSS on a 2-core machine; a verdict
-    that names planes at q=16 adds ``plane_ranks``' table, 587 MB peak RSS.
+    family took 6.5 s with a 63 MB peak RSS on a 2-core machine.  A verdict
+    that names many planes costs more: at q=16 the secant family of a conic
+    switching (32,896 solids, 3,932,160 QUASI witnesses) took 9-10 s with a
+    674 MB peak RSS.
     """
     try:
         fam_file = read_family_file(args.family)
@@ -289,10 +295,13 @@ def cmd_quasi(args) -> int:
     # search
     if args.budget < 0:
         raise ValueError(f"the budget must be non-negative, not {args.budget}")
+    if args.q == 2 and not args.exhaustive:
+        print("q=2 search requires --exhaustive", file=sys.stderr)
+        return 2
+    if args.q != 2 and args.exhaustive:
+        print(f"--exhaustive search supports q=2 only, not q={args.q}", file=sys.stderr)
+        return 2
     if args.q == 2:
-        if not args.exhaustive:
-            print("q=2 search requires --exhaustive", file=sys.stderr)
-            return 2
         geom = _geometry(2, args.modulus)
         hits = exhaustive_search_q2(geom)
         all_fit = all(h.form is not None for h in hits)
@@ -303,9 +312,6 @@ def cmd_quasi(args) -> int:
         }
         _emit(payload, args.json)
         return 0 if all_fit else 1
-    if args.q not in (4, 8):
-        print("search supports q in {2, 4, 8}", file=sys.stderr)
-        return 2
     geom = _geometry(args.q, args.modulus)
     hits = search_quasi(geom, args.strategy, seed=args.seed, budget=args.budget)
     payload = {

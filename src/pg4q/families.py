@@ -25,15 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pg import Geometry, InconsistencyError, histogram, null_space
-from .quadric import (
-    MONOMIALS,
-    NotParabolicError,
-    QuadraticForm,
-    classify_all_solids,
-    nucleus,
-    zero_set,
-)
+from . import quasi
+from .pg import Geometry, InconsistencyError, histogram
+from .quadric import QuadraticForm, classify_all_solids, fit_quadratic_form, nucleus
 
 __all__ = [
     "VIOLATES_I",
@@ -51,7 +45,6 @@ __all__ = [
     "partition_solids",
     "structure_counts",
     "solid_spectrum",
-    "fit_quadratic_form",
     "characterize",
     "verify_hyperbolic_spectra",
 ]
@@ -268,34 +261,30 @@ def structure_counts(
         identities.append(_count_identity(f"{label}-black-counts", vals, target))
         black_hist[label] = histogram(vals)
 
-    # one pencil pass.  Per row: the black, red and family counts of its
-    # plane, each checked for divisibility in that order, and, read as a
-    # line, its red and black points.  Per solid: both sums over its planes,
+    # one pencil pass.  Per row: the black points and the red point of its
+    # plane and the family solids on its line, each checked for divisibility
+    # in that order, then its plane's family solids and, read as a line, its
+    # red and black points.  Per solid: both sums over its planes,
     # in one float64 weight sum1 + k * sum2 (exact below 2^53), with
     # sum1 <= planes per solid * points per plane < k
     k = 1 << ((q**3 + q**2 + q + 1) * (q * q + q + 1)).bit_length()
     member = [np.bincount(list(s), minlength=geom.n) > 0 for s in (fam, colors.red, colors.black)]
     tables = (solid_black, geom.incidence_counts_per_solid(colors.red), colors.counts, *member)
-    bad = ([], [], [])
     plane_black, lines, planes = Counter(), Counter(), Counter()
     red_planes, red_lines, thin = [], [], []
     sums = np.zeros(geom.n)
-    for start, run, (black_sum, red_sum, fam_sum, plane_fam, line_red, line_black) in (
-        geom.pencil_totals(tables)
+    for start, run, (pb, plane_red, line_fam, plane_fam, line_red, line_black) in (
+        geom.pencil_totals(tables, (len(colors.black), len(colors.red), len(fam)))
     ):
-        pb = geom.pencil_quotients(black_sum, len(colors.black), start, bad[0])
-        red_plane = geom.pencil_quotients(red_sum, len(colors.red), start, bad[1]) > 0
-        lines.update(histogram(geom.pencil_quotients(fam_sum, len(fam), start, bad[2])))
+        lines.update(histogram(line_fam))
         plane_black.update(histogram(pb))
         planes.update(histogram(plane_fam))
-        red_planes.append(pb[red_plane])
+        red_planes.append(pb[plane_red > 0])
         red_lines.append(line_black[line_red > 0])
         thin.append(_thin_rows(start, plane_fam, q))
         weight = (pb + k * pb * (pb - 1)).astype(np.float64)
         for c in run.T:
             sums += np.bincount(c, weights=weight, minlength=geom.n)
-    for rows in bad:
-        geom.check_divisible(rows)
     assert sums.max() < 2**53
     per_solid = sums.astype(np.int64)[list(fam)]
     sum1, sum2 = per_solid % k, per_solid // k
@@ -314,37 +303,6 @@ def structure_counts(
 def solid_spectrum(geom: Geometry, point_indices) -> Counter:
     """Histogram of |K ∩ S| over all solids S."""
     return histogram(geom.incidence_counts_per_solid(point_indices))
-
-
-def fit_quadratic_form(geom: Geometry, point_indices):
-    """
-    The nonzero quadratic form vanishing on exactly the given point set
-    and admitting a nucleus, or None.  Solves the homogeneous linear
-    system over the 15 coefficients and tests its one basis form; a
-    solution space of any other dimension returns None.  No fit is lost:
-    the zero set of a parabolic form f is a copy of Q(4,q), which lies
-    on exactly one quadric (the solution space has dimension 1 at
-    q = 2, 4, 8 and 16, and collineations preserve it), so every solution
-    is a multiple of f.
-    """
-    field = geom.field
-    k = tuple(sorted({int(i) for i in point_indices}))
-    if not k:
-        return None
-    pts = geom.point_array[list(k)]
-    mt = field.mul_table
-    rows = np.stack([mt[pts[:, i], pts[:, j]] for i, j in MONOMIALS], axis=1)
-    basis = null_space(field, rows)
-    if len(basis) != 1:
-        return None
-    form = QuadraticForm(field, basis[0])
-    if zero_set(geom, form) != k:
-        return None
-    try:
-        nucleus(form)
-    except NotParabolicError:
-        return None
-    return form
 
 
 def _support_within(hist: Counter, allowed) -> bool:
@@ -424,14 +382,13 @@ def _decide(geom: Geometry, fam: tuple, report: Report) -> Verdict:
 
     red_point = tuple(geom.point_array[colors.red[0]].tolist())
     if len(sc.thin_rows):
-        from .quasi import QuasiCandidate, is_quasi_quadric, solids_meeting_in
-
-        ok, witness = is_quasi_quadric(geom, QuasiCandidate(frozenset(colors.black), red_point))
+        candidate = quasi.QuasiCandidate(frozenset(colors.black), red_point)
+        ok, witness = quasi.is_quasi_quadric(geom, candidate)
         if not ok:
             return Verdict(
                 INCONSISTENT, details=f"black set fails the quasi-quadric conditions: {witness}"
             )
-        if solids_meeting_in(geom, colors.black, (q + 1) ** 2) != fam:
+        if quasi.solids_meeting_in(geom, colors.black, (q + 1) ** 2) != fam:
             return Verdict(
                 INCONSISTENT,
                 details="family differs from the (q+1)^2-secant solids of the black set",
@@ -472,13 +429,12 @@ def verify_hyperbolic_spectra(geom: Geometry, form: QuadraticForm) -> dict:
     fam = classes.hyperbolic
     counts = point_incidence_counts(geom, fam)
     in_fam = np.bincount(fam, minlength=geom.n) > 0
-    lines, planes, bad = Counter(), Counter(), []
+    lines, planes = Counter(), Counter()
     # one pencil pass: a row's pencil sum of the counts is q times the
     # family solids on its line plus |F|, and its family members those on its plane
-    for start, _, (line_sum, plane_count) in geom.pencil_totals([counts, in_fam]):
-        lines.update(histogram(geom.pencil_quotients(line_sum, len(fam), start, bad)))
+    for _, _, (line_count, plane_count) in geom.pencil_totals([counts, in_fam], [len(fam)]):
+        lines.update(histogram(line_count))
         planes.update(histogram(plane_count))
-    geom.check_divisible(bad)
     points = histogram(counts)
     allowed = {
         "points": {0, q**3 // 2, (q**3 + q**2) // 2},

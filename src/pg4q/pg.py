@@ -64,8 +64,11 @@ entries: their XOR gives one code column per digit prefix, and each
 column starts the XOR of the remaining entries.  Consecutive pieces
 merge into runs of at most _RUN_ROWS rows, and each run takes one
 lookup.  So q <= 4 is one run, q=8 ten and q=16 549, and no
-(M, q+1) array is built.  ``plane_ranks`` sorts the flattened RREFs,
-each read as one base-q number, on its first call.
+(M, q+1) array is built.  ``plane_ranks`` reads each flattened RREF as
+one base-q number.  Every pivot block lists its rows in ascending order
+of that key, so a row's plane-table index is the sum over the 10 blocks
+of the number of the block's keys below its own, one binary search per
+block; nothing is sorted or kept between calls.
 
 Incidence counts
 ----------------
@@ -99,10 +102,13 @@ Points and solids share one enumeration, so a pencil row read as point
 indices is the line ann(P), and the rows list every line exactly once
 (in pivot-block order, neither plane- nor line-table order).  One
 per-solid count summed over each row thus gives |X ∩ P| for every plane
-and the solids of F on every line (``pencil_quotients``); a value q does
-not divide raises InconsistencyError (``check_divisible``) naming the
-least plane-table index among the bad rows.  A sum of a 0/1 indicator
-counts the solids of F on each plane, or the points of X on each line.
+and the solids of F on every line: ``pencil_totals`` takes the set
+sizes of its leading per-solid count tables and yields (sum - size) / q
+for them.  After its last run, a row that q does not divide raises
+InconsistencyError: of the sized tables with such a row, the first in
+table order names the least plane-table index among its bad rows.  A
+sum of a 0/1 indicator counts the solids of F on each plane, or the
+points of X on each line.
 
 ``pencil_totals`` sums several such tables in one pass over the runs.
 The tables are non-negative, so a row's sum of a table is at most (q+1)
@@ -112,10 +118,11 @@ word sums every field at once.  Callers reduce each run as it comes
 (histograms, witnesses, per-solid bincounts) and keep no per-row table.
 
 All Geometry state is immutable once built; derived tables (subspace
-tables, incidence masks, the character and point-code tables, the plane
-ranks) are computed lazily but are pure functions of the field, so
-repeated or concurrent builds are harmless.  The pencil rows and the
-lines through a point are not tables: each call rebuilds them by codes.
+tables, incidence masks, the character and point-code tables) are
+computed lazily but are pure functions of the field, so repeated or
+concurrent builds are harmless.  The pencil rows, the lines through a
+point and the plane ranks are not tables: each call rebuilds them by
+codes.
 """
 
 from __future__ import annotations
@@ -292,7 +299,6 @@ class Geometry:
         self._codes: np.ndarray | None = None
         self._point_of_code: np.ndarray | None = None
         self._tables: dict[int, SubspaceTable] = {}
-        self._plane_ranks: np.ndarray | None = None
 
     # -- tuple views ----------------------------------------------------
     # built on first read; only perfbench's traced replays and the tests
@@ -489,15 +495,18 @@ class Geometry:
                 rows += size
         yield run()
 
-    def pencil_totals(self, tables):
+    def pencil_totals(self, tables, sizes=()):
         """
         Per run of ``pencil_runs``: its first row, the run, and for each of k
         non-negative (n,) integer tables an (m,) int64 array, the sum of the
         table's entries over each row.  The tables are packed once into int64
         words, each field as wide as the bit length of (q+1) * max(table), so
-        one gather-add per pencil column and word sums them all.
+        one gather-add per pencil column and word sums them all.  The first
+        len(sizes) tables are per-solid counts of sets of those sizes, and for
+        them the arrays are (sum - size) / q; see "Pencil sums" for the
+        InconsistencyError raised after the last run.
         """
-        q = self.field.q
+        q, e = self.field.q, self.field.e
         words, fields, shift = [], [], 64
         for t in tables:
             t = np.asarray(t, dtype=np.int64)
@@ -510,7 +519,7 @@ class Geometry:
             words[-1] |= t << shift
             fields.append((len(words) - 1, shift, (1 << width) - 1))
             shift += width
-        start = 0
+        start, bad = 0, [[] for _ in sizes]
         for run in self.pencil_runs():
             sums = []
             for w in words:
@@ -518,26 +527,17 @@ class Geometry:
                 for c in range(1, q + 1):
                     acc += w[run[:, c]]
                 sums.append(acc)
-            yield start, run, [sums[i] >> s & m for i, s, m in fields]
+            totals = [sums[i] >> s & m for i, s, m in fields]
+            for j, size in enumerate(sizes):
+                num = totals[j] - size
+                bad[j].append(start + np.flatnonzero(num & (q - 1)))  # q = 2^e
+                totals[j] = num >> e
+            yield start, run, totals
             start += len(run)
-
-    def pencil_quotients(self, totals, size: int, start: int, bad: list) -> np.ndarray:
-        """
-        (totals - size) / q: from a run's sums of a per-solid count of a set X
-        of `size` points, |X ∩ P| for each row's plane P (see "Pencil sums").
-        The global rows that q does not divide are appended to `bad`.
-        """
-        num = totals - size
-        rows = np.flatnonzero(num & (self.field.q - 1))  # q = 2^e
-        if len(rows):
-            bad.append(start + rows)
-        return num >> self.field.e
-
-    def check_divisible(self, bad: list) -> None:
-        """Raise InconsistencyError naming the least plane-table index among the bad rows."""
-        if bad:
-            plane = self.plane_ranks(np.concatenate(bad)).min()
-            raise InconsistencyError(f"pencil sum of plane {plane} is not divisible by q")
+        for rows in map(np.concatenate, bad):
+            if len(rows):
+                plane = self.plane_ranks(rows).min()
+                raise InconsistencyError(f"pencil sum of plane {plane} is not divisible by q")
 
     def plane_pencils(self) -> np.ndarray:
         """
@@ -548,15 +548,17 @@ class Geometry:
 
     def plane_ranks(self, rows) -> np.ndarray:
         """Plane-table index of each given pencil row; see "Point codes"."""
-        if self._plane_ranks is None:
-            e, digits = self.field.e, np.arange(self.field.q, dtype=np.int64)[None]
-            keys = np.concatenate([
-                _block_xor(np.array([sum(1 << e * (14 - 5 * i - p) for i, p in enumerate(piv))]),
-                           [digits << e * (14 - 5 * i - c) for i, c in free])[0]
-                for piv, free in _pivot_blocks(3)])
-            self._plane_ranks = np.empty(len(keys), dtype=np.int64)
-            self._plane_ranks[np.argsort(keys)] = np.arange(len(keys))
-        return self._plane_ranks[np.asarray(rows, dtype=np.int64)]
+        e, digits = self.field.e, np.arange(self.field.q, dtype=np.int64)[None]
+        blocks = [_block_xor(np.array([sum(1 << e * (14 - 5 * i - p) for i, p in enumerate(piv))]),
+                             [digits << e * (14 - 5 * i - c) for i, c in free])[0]
+                  for piv, free in _pivot_blocks(3)]
+        rows = np.asarray(rows, dtype=np.int64)
+        keys, start = np.zeros(len(rows), dtype=np.int64), 0
+        for b in blocks:  # each row's key from its own block: no (M,) concatenation
+            inside = (start <= rows) & (rows < start + len(b))
+            keys[inside] = b[rows[inside] - start]
+            start += len(b)
+        return sum(np.searchsorted(b, keys) for b in blocks)
 
     def nline_partition(self, point_idx: int) -> np.ndarray:
         """

@@ -15,6 +15,8 @@ incidence kernel call and splits the solids by section size: (q+1)^2
 hyperbolic, q^2+1 elliptic, q^2+q+1 tangent (a cone).  A non-singular
 parabolic form has no other size, so any other count raises, and the
 tangent class must be exactly the solids through the nucleus.
+``fit_quadratic_form`` goes the other way: from a point set to the one
+parabolic form that vanishes on exactly it, if there is one.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "canonical_q4",
     "zero_set",
     "nucleus",
+    "fit_quadratic_form",
     "SolidClasses",
     "classify_all_solids",
     "apply_collineation",
@@ -129,6 +132,37 @@ def nucleus(form: QuadraticForm):
     if form.values(rad)[0] == 0:
         raise NotParabolicError(f"radical point {pt} lies on the quadric")
     return pt
+
+
+def fit_quadratic_form(geom: Geometry, point_indices):
+    """
+    The nonzero quadratic form vanishing on exactly the given point set
+    and admitting a nucleus, or None.  Solves the homogeneous linear
+    system over the 15 coefficients and tests its one basis form; a
+    solution space of any other dimension returns None.  No fit is lost:
+    the zero set of a parabolic form f is a copy of Q(4,q), which lies
+    on exactly one quadric (the solution space has dimension 1 at
+    q = 2, 4, 8 and 16, and collineations preserve it), so every solution
+    is a multiple of f.
+    """
+    field = geom.field
+    k = tuple(sorted({int(i) for i in point_indices}))
+    if not k:
+        return None
+    pts = geom.point_array[list(k)]
+    mt = field.mul_table
+    rows = np.stack([mt[pts[:, i], pts[:, j]] for i, j in MONOMIALS], axis=1)
+    basis = null_space(field, rows)
+    if len(basis) != 1:
+        return None
+    form = QuadraticForm(field, basis[0])
+    if zero_set(geom, form) != k:
+        return None
+    try:
+        nucleus(form)
+    except NotParabolicError:
+        return None
+    return form
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import fit_quadratic_form
 from .pg import Geometry, InconsistencyError, dots
-from .quadric import QuadraticForm
+from .quadric import QuadraticForm, fit_quadratic_form
 
 __all__ = [
     "QuasiCandidate",

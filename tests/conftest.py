@@ -109,8 +109,4 @@ def pencil_sums(geom, indices):
     """
     idx = np.unique(np.asarray(list(indices), dtype=np.int64))
     counts = geom.incidence_counts_per_solid(idx)
-    bad: list = []
-    out = np.concatenate([geom.pencil_quotients(totals, len(idx), start, bad)
-                          for start, _, (totals,) in geom.pencil_totals([counts])])
-    geom.check_divisible(bad)
-    return out
+    return np.concatenate([c for _, _, (c,) in geom.pencil_totals([counts], [len(idx)])])

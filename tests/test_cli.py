@@ -262,6 +262,14 @@ def test_quasi_search_q2_without_exhaustive_flag(tmp_path):
     assert run(["quasi", "search", "--q", 2]) == 2
 
 
+@pytest.mark.parametrize("q", [4, 8])
+def test_quasi_search_exhaustive_above_q2_exit_2(capsys, q):
+    # the exhaustive search is the q=2 one; no flag is ignored
+    assert run(["quasi", "search", "--q", q, "--exhaustive", "--budget", 10]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "--exhaustive" in err
+
+
 def test_quasi_search_q4_saves_find(tmp_path, capsys):
     out_file = tmp_path / "find.txt"
     code = run(
@@ -329,5 +337,11 @@ def test_family_file_validation(tmp_path):
     path.write_text("PG4Q v1 q=6 mod=3 kind=solids\n")
     with pytest.raises(FormatError):
         read_family_file(path)  # unsupported q
+    for header in ("PG4Q v1q=2 mod=3 kind=solids",  # no space after the tag
+                   "PG4Q v1 q=2 mod=3 kind=solids q=4",  # a repeated key
+                   "PG4Q v1 q=2 mod=3 kind=solids colour=red"):  # an unknown key
+        path.write_text(header + "\n0 0 1 1 0\n")
+        with pytest.raises(FormatError):
+            read_family_file(path)
     write_family_file(path, field, "solids", [(0, 0, 1, 1, 0)])
     assert read_family_file(path).records == ((0, 0, 1, 1, 0),)

@@ -453,6 +453,14 @@ def test_pencil_totals_match_table_sums(q, geoms):
     assert starts == sorted(set(starts)) and starts[0] == 0
     want = np.array([t.astype(np.int64)[pencils].sum(axis=1) for t in tables])
     assert np.array_equal(np.concatenate(got, axis=1), want)
+    # a sized table, the per-solid count of a random set X, yields
+    # (sum - |X|) / q, and the unsized tables after it their plain sums
+    x = np.flatnonzero(rng.random(geom.n) < 0.3)
+    counts = geom.incidence_counts_per_solid(x)
+    got = [np.array(sums) for _, _, sums in geom.pencil_totals([counts, *tables], [len(x)])]
+    raw = counts[pencils].sum(axis=1)
+    assert not ((raw - len(x)) % q).any()
+    assert np.array_equal(np.concatenate(got, axis=1), np.vstack([(raw - len(x)) // q, want]))
     for bad in (-tables[2], np.full(geom.n, 2**62)):  # negative, or wider than a word
         with pytest.raises(ValueError):
             next(geom.pencil_totals([bad]))
@@ -545,3 +553,58 @@ def test_intersection_profile_solid_pointset(geom2):
     k = geom2.solids_through_point(0)  # the points of solid 0, by duality
     prof = line_profile(geom2, k)
     assert set(prof) == {1, 3}
+
+
+def _plane_rref(ref, solids):
+    """
+    Tests-local flattened RREF of the plane in the first two of the given
+    solids: the canonical basis of their covectors' common null space.
+    """
+    mul, inv = ref.mul.tolist(), ref.inv.tolist()
+
+    def reduce(rows):
+        """The nonzero rows of the RREF of a list of vectors."""
+        rows, out = [list(r) for r in rows], []
+        for c in range(5):
+            k = next((i for i, r in enumerate(rows) if r[c]), None)
+            if k is not None:
+                row = rows.pop(k)
+                piv = [mul[inv[row[c]]][x] for x in row]
+                rows = [[x ^ mul[r[c]][y] for x, y in zip(r, piv)] for r in rows]
+                out = [[x ^ mul[r[c]][y] for x, y in zip(r, piv)] for r in out] + [piv]
+        return out
+
+    ab = reduce(ref.points[list(solids[:2])].tolist())
+    pivots = [r.index(1) for r in ab]
+    basis = []
+    for f in (c for c in range(5) if c not in pivots):
+        v = [0] * 5
+        v[f] = 1
+        for r, p in zip(ab, pivots):
+            v[p] = r[f]  # char 2: -x = x
+        basis.append(v)
+    return tuple(x for r in reduce(basis) for x in r)
+
+
+def test_plane_ranks_q16_sample(geom16, reference_space):
+    # a seeded sample of q=16 rows, plus the lex-first plane (pivots (2, 3, 4),
+    # the only row of the last block) and the lex-last (pivots (0, 3, 4), all
+    # free digits q-1, the last row of its block): distinct ranks that sort
+    # like the flattened RREFs, with 0 and M - 1 at the two ends
+    ref, m = reference_space(16), gaussian_binomial(5, 3, 16)
+    first = m - 1
+    last = sum(16 ** len(free) for _, free in list(pg._pivot_blocks(3))[:6]) - 1
+    rng = np.random.default_rng(16)
+    rows = np.sort(np.concatenate([rng.choice(m, 1000, replace=False), [first, last]]))
+    pencils, start = [], 0
+    for run in geom16.pencil_runs():
+        pencils.append(run[rows[(start <= rows) & (rows < start + len(run))] - start])
+        start += len(run)
+    keys = [_plane_rref(ref, p) for p in np.concatenate(pencils)]
+    ranks = geom16.plane_ranks(rows)
+    assert len(set(ranks.tolist())) == len(rows)
+    assert np.argsort(ranks).tolist() == sorted(range(len(rows)), key=keys.__getitem__)
+    at = {r: (k, int(rank)) for r, k, rank in zip(rows.tolist(), keys, ranks)}
+    assert at[first] == ((0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1), 0)
+    assert at[last] == ((1, 15, 15, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1), 17965584)
+    assert m - 1 == 17965584
