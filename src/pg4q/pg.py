@@ -76,16 +76,17 @@ For a point set K let F(c) = sum_y (-1)^Tr(c.y), y over the nonzero
 multiples of the points of K, Tr(z) = z + z^2 + ... + z^(q/2).  Since
 sum_{t in GF(q)} (-1)^Tr(t*a) = q*[a = 0], every covector c has
 q * #{x in K : c.x = 0} = |K| + F(c), and a value that q does not
-divide raises InconsistencyError.  F is the multiples' indicator, with
-multiplicity, transformed along each of the 5 coordinates by the q x q
-table chi[a, b] = (-1)^Tr(ab): 5q^6 multiply-adds (84M at q=16).  Each
-step is one float32 GEMM chi @ f.reshape(q, q^4), copied back with that
-coordinate moved last; five steps restore the axis order.  A partial
-sum is a signed sum of distinct indicator entries, at most (q-1)|K| in
-size, so float32 is exact below 2^24 and a larger call raises ValueError
-before allocating (the whole space at q=16 gives 1,048,575).  The dot
-product is symmetric, so one transform counts both the points of K in
-each solid and the solids of K through each point.
+divide raises InconsistencyError.  F is ``chi_transform`` (k = 5) of
+the multiples' indicator with multiplicity.  That transform of a
+(..., q^k) array over GF(q)^k, batch axes first, applies the q x q
+table chi[a, b] = (-1)^Tr(ab) along each of the k coordinates: one
+float32 matmul per step, copied back with that coordinate moved last
+(84M multiply-adds at q=16, k = 5).  A partial sum is a signed sum of
+distinct entries, at most (q-1)|K| here: float32 is exact below 2^24,
+and a larger call raises ValueError before allocating.  The k <= 4
+calls of the switching filter sum +-1 entries, so |Phi| <= q^k <= 2^16
+needs no guard.  The dot product is symmetric, so one transform counts
+the points of K in each solid and the solids of K through each point.
 
 Pencil sums
 -----------
@@ -367,6 +368,17 @@ class Geometry:
             self._codes = self.point_array.astype(np.int64) @ self._weights
         return self._chi, self._codes
 
+    def chi_transform(self, f: np.ndarray, k: int) -> np.ndarray:
+        """chi transform of f's last axis (q^k), in place for C-contiguous float32 f."""
+        q, chi = self.field.q, self._characters()[0]
+        f = np.ascontiguousarray(f, dtype=np.float32)
+        rest = f.shape[-1] // q
+        buf = np.empty_like(f)
+        for _ in range(k):
+            np.matmul(chi, f.reshape(-1, q, rest), out=buf.reshape(-1, q, rest))
+            np.copyto(f.reshape(-1, rest, q), buf.reshape(-1, q, rest).swapaxes(1, 2))
+        return f
+
     def incidence_counts_per_solid(self, point_indices) -> np.ndarray:
         """
         For each solid, how many of the given points it contains, with
@@ -378,18 +390,13 @@ class Geometry:
         idx = np.asarray(list(point_indices), dtype=np.int64)
         if (q - 1) * len(idx) >= 2**24:
             raise ValueError(f"{len(idx)} indices exceed the exact float32 range at q={q}")
-        chi, codes = self._characters()
         # distinct points have disjoint nonzero multiples, so assigning
         # each point's multiplicity at its multiples' codes is exact
         mult = np.bincount(idx, minlength=self.n)
         pts = np.flatnonzero(mult)
         f = np.zeros(q**5, dtype=np.float32)
         f[self._scaled_codes(self.point_array[pts])[:, 1:]] = mult[pts, None]
-        buf = np.empty((q, q**4), dtype=np.float32)
-        for _ in range(5):
-            np.matmul(chi, f.reshape(q, -1), out=buf)
-            np.copyto(f.reshape(-1, q), buf.T)
-        num = len(idx) + f[codes].astype(np.int64)
+        num = len(idx) + self.chi_transform(f, 5)[self._characters()[1]].astype(np.int64)
         bad = np.flatnonzero(num % q)
         if len(bad):
             raise InconsistencyError(f"character sum at covector {bad[0]} is not divisible by q")

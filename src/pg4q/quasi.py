@@ -24,24 +24,20 @@ reported.
 
 Switching filter
 ----------------
-Candidate values on W are sqrt(g) + l_s for a ternary quadratic form g
-and a linear form l_s.  Such a candidate agrees with l_r exactly where
-sqrt(g) agrees with l_r + l_s = l_(r+s), so its agreement vector over
-the q^3 linear forms is the form's own vector A_g translated.  Indices
-concatenate e-bit base-q digits, so A_(g,s)(r) = A_g(r ^ s), and r % q
-is the w2 coefficient of l_r.  The solids (1, a), r = a // q, allow
-agreement 1 or 2q+1 with l_r when r is in R0, the q^2 forms with no w2
-term, and q+1 otherwise: _Quotient checks this two-column law against
-the quadric's solid counts on every build (InconsistencyError if not).
-As r ^ s is in R0 iff r % q == s % q, a form passes on one class s % q
-of q^2 shifts or on none, and A_g, q^3 * |W| compares, decides which.
-
-Why: A(r) = q+1 + Phi(r)/q, Phi the Walsh spectrum of Tr(h) on
-GF(q)^3, so a passing h has Phi = 0 off R0 and +-q^2 on R0: Tr(h) is
-constant on the cosets of <(0,0,1)> and bent on GF(q)^2.  With
-h(s*w) = s*h(w) this gives h(w) = hbar(w0, w1), and the points
-(hbar(p) : p), p in PG(1,q), form an oval of PG(2,q) with nucleus
-(1:0:0).  The stream's distinct passes are the conics among them,
+Extend values h on W to GF(q)^3 by h(t*w) = t*h(w).  Each point of W
+adds q-1 or -1 to Phi(r) = sum_w (-1)^Tr(h(w) + l_r(w)) as h agrees
+with l_r there or not, so the agreement is A(r) = q+1 + Phi(r)/q.  On
+every build _Quotient checks that the quadric's solid counts off W
+leave the two-column law (InconsistencyError if not): A in {1, 2q+1}
+on R0, the q^2 forms l_r with no w2 term (r % q == 0), and q+1 off it,
+i.e. Phi = +-q^2 on R0 and 0 off it.  For a candidate sqrt(g) + l_s, g
+a ternary quadratic form, Phi_(g,s)(r) = Phi_g(r ^ s), indices being
+e-bit base-q digits side by side, so one transform of sqrt(g) decides
+its q^3 shifts: they pass on the class s % q where |Phi_g| = q^2
+throughout, or on none (by Parseval, Phi_g is then 0 off that class).
+Then Tr(h) is bent on GF(q)^2 and constant on the cosets of <(0,0,1)>:
+h is hbar(w0, w1) with (hbar(p) : p), p in PG(1,q), an oval of PG(2,q)
+with nucleus (1:0:0).  The stream's distinct passes are its conics,
 sqrt(c*w0*w1) + l_r with c != 0 and r in R0: (q-1)q^2 finds.
 """
 
@@ -162,22 +158,19 @@ def verify_converse_lemma(geom: Geometry, cand: QuasiCandidate) -> ConverseCount
 
 def exhaustive_search_q2(geom: Geometry):
     """
-    Enumerate all 2^15 transversals of the lines through the fixed
-    nucleus of PG(4,2), keep those meeting every solid off the nucleus
-    in 5 or 9 points, re-verify each survivor from the raw definition,
-    and attach a fitted quadratic form.  Order: ascending choice code,
-    where bit i of the code picks the larger point on line i.
+    Enumerate all 2^15 transversals h of the lines through the fixed
+    nucleus of PG(4,2), keep those bent on GF(2)^4 (the solid (1, a)
+    meets K_h in 7 + Phi(a)/2 points, 5 or 9 iff |Phi(a)| = 4), re-verify
+    each survivor from the raw definition, and attach a fitted form.
+    Order: ascending choice code; bit i picks the larger point on line i.
     """
     if geom.field.q != 2:
         raise ValueError("the exhaustive search is only feasible at q = 2")
     quot = _Quotient(geom)
     # bit i of the code is h(u_i): the larger point (1, u_i) of line i
     rows = _digits(np.arange(1 << 15), 2, 15)[:, ::-1]
-    # the solid (1, a) meets the transversal where h(u) = a.u
-    forms = dots(geom.field, _digits(np.arange(16), 2, 4), quot.us)
-    agree = (rows[:, None, :] == forms[None, :, :]).sum(axis=2)
-    passing = ((agree == 5) | (agree == 9)).all(axis=1)
-    return [_verified_hit(geom, quot.candidate_points(rows[c])) for c in np.flatnonzero(passing)]
+    bent = (np.abs(quot.spectrum(rows, quot.us)) == 4).all(axis=1)
+    return [_verified_hit(geom, quot.candidate_points(rows[c])) for c in np.flatnonzero(bent)]
 
 
 def _verified_hit(geom: Geometry, points: frozenset) -> QuasiHit:
@@ -198,7 +191,7 @@ class _Quotient:
     def __init__(self, geom: Geometry):
         field = geom.field
         q = field.q
-        self.field = field
+        self.field, self.geom = field, geom
         mt = field.mul_table
         self.lines = geom.nline_partition(geom.index_of(SEARCH_NUCLEUS))
         us = self.us = geom.point_array[self.lines[:, 0], 1:]
@@ -210,11 +203,10 @@ class _Quotient:
         self.base_w = self.base[self.w_ids]
         # w_linear_values[r]: l_r on W, (q^3, |W|)
         self.w_linear_values = dots(field, _digits(np.arange(q**3), q, 3), self.w_pts)
-        # outside[a]: agreement of the quadric with a.u off W.  The solids
-        # (1, a) are the last q^4 points in a's lex order, and their
-        # counts of the quadric include the agreement on W with l_(a // q).
+        # outside[a]: agreement of the quadric with a.u off W.  The solids (1, a) are
+        # the last q^4 points in a's lex order; on W they meet it in on_w[a // q].
         sizes = geom.incidence_counts_per_solid(self.candidate_points(self.base))
-        on_w = (self.w_linear_values == self.base_w).sum(axis=1)
+        on_w = q + 1 + self.spectrum(self.base_w[None], self.w_pts)[0].astype(np.int64) // q
         outside = sizes[-(q**4) :] - np.repeat(on_w, q)
         # good[a, i]: with agreement i on W, the solid (1, a) meets the candidate
         # in q^2+1 or (q+1)^2 points; l_r allows i iff every a with a // q = r does
@@ -225,23 +217,24 @@ class _Quotient:
         if len(bad):
             raise InconsistencyError(f"quadric solid counts break the two-column law at l_{bad[0]}")
 
+    def spectrum(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """(B, q^k) float32 Phi of each row h = values[b] on the (m, k) projective points."""
+        q, k = self.field.q, points.shape[1]
+        # h(t*p) = t*h(p): the multiple t*p takes chi[t, h(p)] = chi[h(p), t]
+        codes = self.field.mul_table[:, points].astype(np.int64) @ q ** np.arange(k - 1, -1, -1)
+        f = np.ones((len(values), q**k), dtype=np.float32)
+        f[:, codes.T] = self.geom._characters()[0][values]
+        return self.geom.chi_transform(f, k)
+
     def passing_shifts(self, bases: np.ndarray, shifts: int) -> np.ndarray:
         """
         (B, shifts) mask: entry (b, s) says whether the value vector
         bases[b] + l_s on W passes the count filter; see "Switching filter".
         """
-        q, lin = self.field.q, self.w_linear_values
-        chunk = max(1, (1 << 20) // lin.size)
-        out = []
-        for lo in range(0, len(bases), chunk):
-            block = bases[lo : lo + chunk]
-            # agree[b, t // q, t % q]: agreement of bases[b] with l_t.  Class
-            # c passes iff it is all 1 or 2q+1 and every other is all q+1.
-            agree = (block[:, None, :] == lin[None, :, :]).sum(axis=2).reshape(len(block), -1, q)
-            on_r0 = ((agree == 1) | (agree == 2 * q + 1)).all(axis=1)
-            ok = on_r0 & ((agree == q + 1).all(axis=1).sum(axis=1, keepdims=True) == q - 1)
-            out.append(ok[:, np.arange(shifts) % q])
-        return np.concatenate(out)
+        q = self.field.q
+        # phi[b, r // q, r % q]: class c passes iff |phi| = q^2 on all of it
+        phi = self.spectrum(bases, self.w_pts).reshape(len(bases), -1, q)
+        return (np.abs(phi) == q * q).all(axis=1)[:, np.arange(shifts) % q]
 
     def candidate_points(self, values: np.ndarray) -> frozenset:
         """Point indices of the transversal with value values[i] at quotient point i."""

@@ -249,6 +249,36 @@ def test_incidence_counts_q16_quadric(geom16, reference_space):
     assert np.array_equal(counts[sample], ref.incidences(ref.points[sample], zero_pts))
 
 
+def _chi_by_definition(ref, f, k):
+    """sum_y f[:, y] (-1)^Tr(c.y) at [:, c] for (B, q^k) integers, from the reference field."""
+    q = ref.q
+    tr = z = np.arange(q)
+    for _ in range(q.bit_length() - 2):  # Tr(z) = z + z^2 + ... + z^(q/2)
+        z = ref.mul[z, z]
+        tr = tr ^ z
+    digits = np.arange(q**k)[:, None] // q ** np.arange(k - 1, -1, -1) % q
+    out = np.zeros(f.shape, dtype=np.int64)
+    for lo in range(0, q**k, 256):
+        c = digits[lo : lo + 256]
+        cy = np.bitwise_xor.reduce(ref.mul[c[:, None, :], digits[None, :, :]], axis=2)
+        # float64 sums of these small integers are exact
+        out[:, lo : lo + len(c)] = np.rint(f @ (1.0 - 2 * tr[cy]).T)
+    return out
+
+
+@pytest.mark.parametrize(
+    "q, k", [(q, k) for q in (2, 4, 8, 16) for k in range(1, 6 if q < 8 else 4)]
+)
+def test_chi_transform_matches_definition(geoms, geom16, reference_space, q, k):
+    geom, ref = {**geoms, 16: geom16}[q], reference_space(q)
+    rng = np.random.default_rng(100 * q + k)
+    batches = [rng.integers(-5, 6, size=(*shape, q**k)) for shape in ((), (3,), (2, 3))]
+    expected = _chi_by_definition(ref, np.concatenate([f.reshape(-1, q**k) for f in batches]), k)
+    got = [geom.chi_transform(f.astype(np.float32), k) for f in batches]
+    assert [g.shape for g in got] == [f.shape for f in batches]
+    assert np.array_equal(np.concatenate([g.reshape(-1, q**k) for g in got]), expected)
+
+
 def test_incidence_counts_divisibility_check():
     geom = Geometry(GF(2))
     chi, _ = geom._characters()

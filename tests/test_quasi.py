@@ -61,7 +61,7 @@ def test_wrong_nucleus_fails_with_line_witness(geom2, quad2):
 
 
 def test_nucleus_in_set_detected(geom2, quad2):
-    n_idx = geom2.point_index[(1, 0, 0, 0, 0)]
+    n_idx = geom2.index_of((1, 0, 0, 0, 0))
     bad = QuasiCandidate(points=quad2.points | {n_idx}, nucleus=(1, 0, 0, 0, 0))
     ok, witness = is_quasi_quadric(geom2, bad)
     assert not ok and witness == ("nucleus-in-set", n_idx)
@@ -88,7 +88,7 @@ def test_random_sets_fail(geom2):
 def test_perturbed_transversal_fails_solid_condition(geom2, quad2):
     # swap one point across its nucleus line: the line condition still
     # holds, so a solid witness must appear
-    n_idx = geom2.point_index[(1, 0, 0, 0, 0)]
+    n_idx = geom2.index_of((1, 0, 0, 0, 0))
     line = next(
         l for l in geom2.nline_partition(n_idx) if any(p in quad2.points for p in l)
     )
@@ -171,7 +171,7 @@ def test_solids_meeting_in(geom2, quad2):
     assert len(solids_meeting_in(geom2, k, 9)) == 10
     tangent = solids_meeting_in(geom2, k, 7)
     assert len(tangent) == 15
-    n_idx = geom2.point_index[(1, 0, 0, 0, 0)]
+    n_idx = geom2.index_of((1, 0, 0, 0, 0))
     assert set(tangent) == set(int(s) for s in geom2.solids_through_point(n_idx))
     assert solids_meeting_in(geom2, k, 4) == ()
 
@@ -255,26 +255,35 @@ def test_exhaustive_q2_survivors(geom2):
 
 def test_exhaustive_q2_codes_ascending(geom2):
     # bit i of a survivor's choice code picks the larger point on line i
-    lines = geom2.nline_partition(geom2.point_index[SEARCH_NUCLEUS])
+    lines = geom2.nline_partition(geom2.index_of(SEARCH_NUCLEUS))
     codes = [
         sum(1 << i for i, line in enumerate(lines) if line[1] in h.candidate.points)
         for h in exhaustive_search_q2(geom2)
     ]
     assert len(codes) == 448
     assert all(a < b for a, b in zip(codes, codes[1:]))
+    # the survivors are exactly the transversals meeting every solid (1, a)
+    # in 5 or 9 points, by agreement counts against the forms a.u
+    quot = _Quotient(geom2)
+    rows = (np.arange(1 << 15)[:, None] >> np.arange(15)) & 1
+    forms = dots(geom2.field, (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1, quot.us)
+    agree = (rows[:, None, :] == forms[None, :, :]).sum(axis=2)
+    passing = ((agree == 5) | (agree == 9)).all(axis=1)
+    assert codes == np.flatnonzero(passing).tolist()
+    bent = (np.abs(quot.spectrum(rows.astype(np.uint8), quot.us)) == 4).all(axis=1)
+    assert np.array_equal(bent, passing)
 
 
-def test_quasi_solids_through_nucleus_forced(geom2):
+def test_quasi_solids_through_nucleus_forced(geom2, reference_space):
     # every solid through N meets a quasi-quadric in q^2+q+1 points
     hits = exhaustive_search_q2(geom2)
-    n_idx = geom2.point_index[(1, 0, 0, 0, 0)]
-    through = [int(s) for s in geom2.solids_through_point(n_idx)]
-    sm = geom2.solid_masks
-    for h in hits[:25]:
-        kmask = 0
-        for p in h.candidate.points:
-            kmask |= 1 << p
-        assert all((kmask & sm[s]).bit_count() == 7 for s in through)
+    ref = reference_space(2)
+    n_idx = geom2.index_of((1, 0, 0, 0, 0))
+    through = np.flatnonzero(ref.dots(ref.points, ref.points[[n_idx]])[:, 0] == 0)
+    assert through.tolist() == geom2.solids_through_point(n_idx).tolist()
+    for h in hits:
+        on_solid = ref.dots(ref.points[through], ref.points[sorted(h.candidate.points)]) == 0
+        assert (on_solid.sum(axis=1) == 7).all()
 
 
 def test_search_rejects_bad_q(geom2):
@@ -425,6 +434,58 @@ def test_passing_shifts_matches_definition_q8(geom8, reference_space):
     rows, mask = _stream_rows(quot, 513)
     holds = _quasi_definition(reference_space(8), SEARCH_NUCLEUS)
     _assert_filter_is_definition(holds, quot, rows, mask)
+
+
+def _agreement_mask(quot, bases, shifts):
+    """
+    The count filter by agreement compares, q^3 * |W| per base: bases[b] + l_s
+    passes iff its agreement with l_r on W is 1 or 2q+1 for r in R0 and q+1
+    for every other r.  As A_(g,s)(r) = A_g(r ^ s), class s % q of A_g
+    plays R0's part.
+    """
+    q, lin = quot.field.q, quot.w_linear_values
+    chunk = max(1, (1 << 20) // lin.size)
+    out = []
+    for lo in range(0, len(bases), chunk):
+        block = bases[lo : lo + chunk]
+        agree = (block[:, None, :] == lin[None, :, :]).sum(axis=2).reshape(len(block), -1, q)
+        on_r0 = ((agree == 1) | (agree == 2 * q + 1)).all(axis=1)
+        ok = on_r0 & ((agree == q + 1).all(axis=1).sum(axis=1, keepdims=True) == q - 1)
+        out.append(ok[:, np.arange(shifts) % q])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("q, budget, passes", [(4, 4**9 + 1, 3073), (8, 20000, 1)])
+def test_passing_shifts_matches_agreement_oracle(geoms, q, budget, passes):
+    quot = _Quotient(geoms[q])
+    seen = passed = 0
+    for bases, shifts in _switching_stream(quot, budget):
+        mask = quot.passing_shifts(bases, shifts)
+        assert np.array_equal(mask, _agreement_mask(quot, bases, shifts))
+        passed += int(mask.reshape(-1)[: budget - seen].sum())
+        seen += mask.size
+    assert (min(seen, budget), passed) == (budget, passes)
+
+
+def test_passing_shifts_matches_agreement_oracle_q16(geom16):
+    q = 16
+    quot = _Quotient(geom16)
+    field, w = geom16.field, quot.w_pts
+    monomials = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    mono = np.stack([field.mul_table[w[:, i], w[:, j]] for i, j in monomials], axis=1)
+    # the 15 conic forms c*w0*w1, the same with a random diagonal, and random forms
+    rng = np.random.default_rng(1616)
+    diag = rng.integers(0, q, size=(15, 3))
+    conics = np.zeros((30, 6), dtype=np.int64)
+    conics[:, 1] = np.tile(np.arange(1, q), 2)
+    conics[15:, [0, 3, 5]] = diag
+    coeffs = np.concatenate([conics, rng.integers(0, q, size=(34, 6))]).astype(np.uint8)
+    bases = field.sqrt_table[dots(field, coeffs, mono)]
+    mask = quot.passing_shifts(bases, q**3)
+    assert np.array_equal(mask, _agreement_mask(quot, bases, q**3))
+    # a conic form passes on exactly one class: the w2 coefficient sqrt(c22) of its shift
+    classes = [np.flatnonzero(row[:q]).tolist() for row in mask[:30]]
+    assert classes == [[0]] * 15 + [[int(field.sqrt_table[c])] for c in diag[:, 2]]
 
 
 def _irreducible_fields(e):
