@@ -378,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--strategy", default="switching", choices=("switching",))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=20000,
+                   help="switching-stream candidates to search; 1 + q^9 is the whole stream")
     p.add_argument("--json", default=None)
     p.add_argument("--out", default=None, help="save the best search find as a point file")
     p.set_defaults(func=cmd_quasi)

@@ -122,10 +122,7 @@ def _normalize_family(geom: Geometry, solids) -> tuple:
 
 def point_incidence_counts(geom: Geometry, solids) -> np.ndarray:
     """Number of family solids through each point."""
-    fam = _normalize_family(geom, solids)
-    if not fam:
-        return np.zeros(geom.n, dtype=np.int64)
-    return geom.incidence_counts_per_solid(fam)
+    return geom.incidence_counts_per_solid(_normalize_family(geom, solids))
 
 
 def check_condition_I(geom: Geometry, solids) -> ColorMap:

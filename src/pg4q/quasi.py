@@ -30,15 +30,27 @@ with l_r there or not, so the agreement is A(r) = q+1 + Phi(r)/q.  On
 every build _Quotient checks that the quadric's solid counts off W
 leave the two-column law (InconsistencyError if not): A in {1, 2q+1}
 on R0, the q^2 forms l_r with no w2 term (r % q == 0), and q+1 off it,
-i.e. Phi = +-q^2 on R0 and 0 off it.  For a candidate sqrt(g) + l_s, g
-a ternary quadratic form, Phi_(g,s)(r) = Phi_g(r ^ s), indices being
-e-bit base-q digits side by side, so one transform of sqrt(g) decides
-its q^3 shifts: they pass on the class s % q where |Phi_g| = q^2
-throughout, or on none (by Parseval, Phi_g is then 0 off that class).
-Then Tr(h) is bent on GF(q)^2 and constant on the cosets of <(0,0,1)>:
-h is hbar(w0, w1) with (hbar(p) : p), p in PG(1,q), an oval of PG(2,q)
-with nucleus (1:0:0).  The stream's distinct passes are its conics,
-sqrt(c*w0*w1) + l_r with c != 0 and r in R0: (q-1)q^2 finds.
+i.e. Phi = +-q^2 on R0 and 0 off it.  For a candidate h = f + l_s,
+Phi_(f,s)(r) = Phi_f(r ^ s), indices being e-bit base-q digits side by
+side, so one transform of f decides its q^3 shifts: they pass on the
+class s % q where |Phi_f| = q^2 throughout, or on none (by Parseval,
+Phi_f is then 0 off that class).  Then Tr(h) is bent on GF(q)^2 and
+constant on the cosets of <(0,0,1)>: h is hbar(w0, w1) with
+(hbar(p) : p), p in PG(1,q), an oval of PG(2,q) with nucleus (1:0:0).
+
+A search's budget counts candidates of a stream: the quadric's section
+(candidate 0), then sqrt(g) + l_s for the q^6 ternary quadratic forms g
+in ascending coefficient order (c00, c01, c02, c11, c12, c22), each with
+its q^3 shifts s, 1 + q^9 in all.  As sqrt is additive, sqrt(g) + l_s =
+sqrt(b) + l_t with b = c01*w0*w1 + c02*w0*w2 + c12*w1*w2 and
+t = s ^ (sqrt c00, sqrt c11, sqrt c22), first reached at candidate
+1 + (c01*q^4 + c02*q^3 + c12*q)*q^3 + t; the quadric's section is
+sqrt(w0*w1) + l_0.  So search_quasi walks the q^3 forms b and decides
+each distinct candidate once.  For q >= 4, (b, t) -> sqrt(b) + l_t is
+injective on W (a ternary form of degree < q in each variable is fixed
+by its values), so the walk needs no duplicate check.  The whole
+stream's passes are the conics sqrt(c*w0*w1) + l_r with c != 0 and
+r in R0: (q-1)q^2 finds.
 """
 
 from __future__ import annotations
@@ -201,8 +213,6 @@ class _Quotient:
         self.w_ids = np.flatnonzero(us[:, 3] == 0)
         self.w_pts = us[self.w_ids, :3]
         self.base_w = self.base[self.w_ids]
-        # w_linear_values[r]: l_r on W, (q^3, |W|)
-        self.w_linear_values = dots(field, _digits(np.arange(q**3), q, 3), self.w_pts)
         # outside[a]: agreement of the quadric with a.u off W.  The solids (1, a) are
         # the last q^4 points in a's lex order; on W they meet it in on_w[a // q].
         sizes = geom.incidence_counts_per_solid(self.candidate_points(self.base))
@@ -233,7 +243,7 @@ class _Quotient:
         """
         q = self.field.q
         # phi[b, r // q, r % q]: class c passes iff |phi| = q^2 on all of it
-        phi = self.spectrum(bases, self.w_pts).reshape(len(bases), -1, q)
+        phi = self.spectrum(bases, self.w_pts).reshape(len(bases), q * q, q)
         return (np.abs(phi) == q * q).all(axis=1)[:, np.arange(shifts) % q]
 
     def candidate_points(self, values: np.ndarray) -> frozenset:
@@ -247,43 +257,20 @@ def _digits(codes: np.ndarray, q: int, width: int) -> np.ndarray:
     return (codes[:, None] // powers % q).astype(np.uint8)
 
 
-def _switching_stream(quot: _Quotient, budget: int):
-    """
-    Deterministic stream of (bases, shifts) blocks standing for the
-    value vectors bases[b] + l_s on W, s < shifts, in row-major order:
-    first the quadric's own section, then sqrt(ternary quadratic) plus
-    each of the q^3 linear forms, forms in ascending coefficient order.
-    """
-    field = quot.field
-    q = field.q
-    mt = field.mul_table
-    w = quot.w_pts
-    monomials = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-    mono = np.stack([mt[w[:, i], w[:, j]] for i, j in monomials], axis=1)  # (|W|, 6)
-    shifts = q**3
-    yield quot.base_w[None, :], 1
-    seen = 1
-    g_block = 512
-    for lo in range(0, q**6, g_block):
-        if seen >= budget:
-            return
-        forms_left = (budget - seen + shifts - 1) // shifts
-        hi = min(lo + g_block, q**6, lo + forms_left)
-        vals = dots(field, _digits(np.arange(lo, hi), q, 6), mono)
-        seen += (hi - lo) * shifts
-        yield field.sqrt_table[vals], shifts
-
-
 def search_quasi(geom: Geometry, strategy: str, seed: int = 0, budget: int = 20000):
     """
     Budget-bounded search for quasi-quadrics at q in {4, 8} by replacing
-    the canonical quadric's section of one tangent solid.  Every
-    returned candidate is re-verified from scratch by is_quasi_quadric
-    and labelled with a fitted form (None marks a non-quadric example).
-    The only strategy is "switching"; any other raises ValueError.  The
-    result is a function of the budget alone: ``seed`` has no effect and
-    is kept so callers can pass it through.  An empty result just means
-    the budget ran out; a negative budget raises ValueError.
+    the canonical quadric's section of one tangent solid.  Each distinct
+    candidate (b, t) whose first stream index is below the budget is
+    decided once, and the passes come in ascending first index (see
+    "Switching filter"; a budget of 1 + q^9 covers the whole stream).
+    Every returned candidate is re-verified from scratch by
+    is_quasi_quadric and labelled with a fitted form (None marks a
+    non-quadric example).  The only strategy is "switching"; any other
+    raises ValueError.  The result is a function of the budget alone:
+    ``seed`` has no effect and is kept so callers can pass it through.
+    An empty result just means the budget ran out; a negative budget
+    raises ValueError.
     """
     q = geom.field.q
     if q not in (4, 8):
@@ -293,22 +280,22 @@ def search_quasi(geom: Geometry, strategy: str, seed: int = 0, budget: int = 200
     if budget < 0:
         raise ValueError(f"the budget must be non-negative, not {budget}")
     quot = _Quotient(geom)
+    field, w, shifts = quot.field, quot.w_pts, q**3
+    mt = field.mul_table
+    # row j of coeffs is (c01, c02, c12) of b; first[j, t] is where the stream first meets (b, t)
+    coeffs = _digits(np.arange(shifts), q, 3)
+    first = 1 + (coeffs.astype(np.int64) @ (q**4, q**3, q))[:, None] * shifts + np.arange(shifts)
+    first[q * q, 0] = 0  # sqrt(w0 w1) + l_0: the quadric's own section
+    live = first < budget
+    kept = np.flatnonzero(live.any(axis=1))
+    mono = np.stack([mt[w[:, 0], w[:, 1]], mt[w[:, 0], w[:, 2]], mt[w[:, 1], w[:, 2]]], axis=1)
+    bases = field.sqrt_table[dots(field, coeffs[kept], mono)]
+    b, t = np.nonzero(quot.passing_shifts(bases, shifts) & live[kept])
+    order = np.argsort(first[kept[b], t])
+    rows = bases[b[order]] ^ dots(field, _digits(t[order], q, 3), w)
     hits = []
-    seen_rows = set()
-    evaluated = 0
-    lin = quot.w_linear_values
-    for bases, shifts in _switching_stream(quot, budget):
-        mask = quot.passing_shifts(bases, shifts)
-        for b, s in zip(*np.nonzero(mask)):
-            if evaluated + b * shifts + s >= budget:
-                break
-            row = bases[b] ^ lin[s]
-            key = row.tobytes()
-            if key in seen_rows:
-                continue
-            seen_rows.add(key)
-            values = quot.base.copy()
-            values[quot.w_ids] = row
-            hits.append(_verified_hit(geom, quot.candidate_points(values)))
-        evaluated += len(bases) * shifts
+    for row in rows:
+        values = quot.base.copy()
+        values[quot.w_ids] = row
+        hits.append(_verified_hit(geom, quot.candidate_points(values)))
     return hits

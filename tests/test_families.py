@@ -68,7 +68,8 @@ def test_point_incidence_counts_q2(geom2, hyp2):
 
 
 def test_point_incidence_counts_edge_cases(geom2):
-    assert point_incidence_counts(geom2, []).sum() == 0
+    empty = point_incidence_counts(geom2, [])
+    assert empty.dtype == np.int64 and empty.shape == (geom2.n,) and empty.sum() == 0
     full = point_incidence_counts(geom2, range(geom2.n))
     assert set(full.tolist()) == {15}
 

@@ -15,8 +15,8 @@ from pg4q.quadric import canonical_q4, nucleus, zero_set
 from pg4q.quasi import (
     SEARCH_NUCLEUS,
     QuasiCandidate,
+    _digits,
     _Quotient,
-    _switching_stream,
     exhaustive_search_q2,
     is_quasi_quadric,
     search_quasi,
@@ -360,9 +360,43 @@ def test_search_q8_finds_canonical_quadric(geom8):
     assert hits[0].candidate.nucleus == nucleus(form) == SEARCH_NUCLEUS
 
 
+def _linear_values(quot):
+    """l_r on W for every r < q^3, as a (q^3, |W|) array."""
+    q = quot.field.q
+    return dots(quot.field, _digits(np.arange(q**3), q, 3), quot.w_pts)
+
+
+def _switching_stream(quot, budget):
+    """
+    The switching stream in (bases, shifts) blocks standing for the value
+    vectors bases[b] + l_s on W, s < shifts, in row-major order: first
+    the quadric's own section, then sqrt(ternary quadratic) plus each of
+    the q^3 linear forms, forms in ascending coefficient order, until the
+    budget is covered.
+    """
+    field = quot.field
+    q = field.q
+    mt = field.mul_table
+    w = quot.w_pts
+    monomials = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    mono = np.stack([mt[w[:, i], w[:, j]] for i, j in monomials], axis=1)  # (|W|, 6)
+    shifts = q**3
+    yield quot.base_w[None, :], 1
+    seen = 1
+    g_block = 512
+    for lo in range(0, q**6, g_block):
+        if seen >= budget:
+            return
+        forms_left = (budget - seen + shifts - 1) // shifts
+        hi = min(lo + g_block, q**6, lo + forms_left)
+        vals = dots(field, _digits(np.arange(lo, hi), q, 6), mono)
+        seen += (hi - lo) * shifts
+        yield field.sqrt_table[vals], shifts
+
+
 def _stream_rows(quot, budget):
     """Every stream candidate below the budget as a row, with its mask entry."""
-    lin = quot.w_linear_values
+    lin = _linear_values(quot)
     rows, mask = [], []
     for bases, shifts in _switching_stream(quot, budget):
         rows.append((bases[:, None, :] ^ lin[None, :shifts, :]).reshape(-1, lin.shape[1]))
@@ -443,7 +477,7 @@ def _agreement_mask(quot, bases, shifts):
     for every other r.  As A_(g,s)(r) = A_g(r ^ s), class s % q of A_g
     plays R0's part.
     """
-    q, lin = quot.field.q, quot.w_linear_values
+    q, lin = quot.field.q, _linear_values(quot)
     chunk = max(1, (1 << 20) // lin.size)
     out = []
     for lo in range(0, len(bases), chunk):
@@ -486,6 +520,49 @@ def test_passing_shifts_matches_agreement_oracle_q16(geom16):
     # a conic form passes on exactly one class: the w2 coefficient sqrt(c22) of its shift
     classes = [np.flatnonzero(row[:q]).tolist() for row in mask[:30]]
     assert classes == [[0]] * 15 + [[int(field.sqrt_table[c])] for c in diag[:, 2]]
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_passing_shifts_empty_batch(geoms, q):
+    quot = _Quotient(geoms[q])
+    mask = quot.passing_shifts(np.zeros((0, len(quot.w_ids)), dtype=np.uint8), q**3)
+    assert mask.shape == (0, q**3) and mask.dtype == bool
+
+
+@pytest.mark.parametrize(
+    "q, budget",
+    [(4, b) for b in (0, 1, 2, 65, 66, 4097, 4098, 16385, 16389, 16390, 65537, 65538)]
+    + [(4, 4**9), (4, 4**9 + 1), (4, 300000)]
+    + [(8, b) for b in (0, 1, 2, 513, 4097, 4098, 20000, 20481, 40000)],
+)
+def test_search_matches_stream_oracle(geoms, q, budget):
+    # the hits are the stream's distinct passing rows below the budget, in stream order
+    quot = _Quotient(geoms[q])
+    rows, mask = _stream_rows(quot, budget)
+    passing = rows[mask]
+    _, first = np.unique(passing, axis=0, return_index=True)
+    expected = []
+    for row in passing[np.sort(first)]:
+        values = quot.base.copy()
+        values[quot.w_ids] = row
+        expected.append(quot.candidate_points(values))
+    hits = search_quasi(geoms[q], "switching", budget=budget)
+    assert [h.candidate.points for h in hits] == expected
+
+
+@pytest.mark.parametrize("q, budget, most", [(4, 4**9 + 1, 64), (8, 20000, 6)])
+def test_search_decides_each_candidate_once(geoms, monkeypatch, q, budget, most):
+    # one transformed row per distinct base sqrt(b), not one per stream form
+    spectrum, rows = _Quotient.spectrum, []
+
+    def counted(self, values, points):
+        rows.append(len(values))
+        return spectrum(self, values, points)
+
+    monkeypatch.setattr(_Quotient, "spectrum", counted)
+    search_quasi(geoms[q], "switching", budget=budget)
+    assert rows[0] == 1  # the quotient's own row, for the two-column law
+    assert sum(rows[1:]) <= most
 
 
 def _irreducible_fields(e):
